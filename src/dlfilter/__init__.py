@@ -14,9 +14,9 @@ from .model import ModelConfig, lax_friedrichs_matrix, model_step
 from .obsnet import (Observation, ObsNetwork, build_network, observation_matrix,
                      observations_by_step, sample_observations)
 from .kalman import FilterError, KalmanGain, analysis, forecast, joseph_covariance, kalman_gain
-from .dlf import (DlfStepResult, LikelihoodAssembly, LiveObservation, ProjectedDatum,
-                  Weighting, dlf_step, multi_analysis, multi_gain, project,
-                  propagate_observation, propagate_variance, rank_order, viability_filter)
+from .dlf import (DlfStepResult, LikelihoodAssembly, Pool, dlf_step, multi_analysis,
+                  multi_gain, project, propagate_observation, propagate_variance, rank_order,
+                  viability_filter)
 from .harness import (MetricTable, RunResult, ScenarioConfig, center_of_mass,
                       circular_distance, default_config, load_config, run_scenario,
                       summarize_run, sweep, write_outputs)
@@ -29,9 +29,9 @@ __all__ = [
     "Observation", "ObsNetwork", "build_network", "observation_matrix",
     "observations_by_step", "sample_observations",
     "FilterError", "KalmanGain", "analysis", "forecast", "joseph_covariance", "kalman_gain",
-    "DlfStepResult", "LikelihoodAssembly", "LiveObservation", "ProjectedDatum",
-    "Weighting", "dlf_step", "multi_analysis", "multi_gain", "project",
-    "propagate_observation", "propagate_variance", "rank_order", "viability_filter",
+    "DlfStepResult", "LikelihoodAssembly", "Pool", "dlf_step", "multi_analysis",
+    "multi_gain", "project", "propagate_observation", "propagate_variance", "rank_order",
+    "viability_filter",
     "MetricTable", "RunResult", "ScenarioConfig", "center_of_mass", "circular_distance",
     "default_config", "load_config", "run_scenario", "summarize_run", "sweep",
     "write_outputs",

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NoiseSource, StateEstimate, make_grid
-from .dlf import (LikelihoodAssembly, LiveObservation, ProjectedDatum, multi_gain,
-                  rank_order)
+from .dlf import Pool, multi_gain, propagate_observation, propagate_variance, rank_order
 from .kalman import analysis, kalman_gain
 from .model import ModelConfig, model_step
 from .obsnet import Observation
@@ -112,11 +111,7 @@ def check_gain_optimality(n_perturbations: int = 100, eta: float = 1e-3,
                                             rng, n_perturbations, eta))
 
     variances = np.array([0.02, 0.05, 0.11, 0.02, 0.3])
-    assembly = LikelihoodAssembly(
-        informed_stations=tuple(int(s) for s in stations),
-        projected_values=np.zeros(5), projected_variances=variances,
-        selection_trace={})
-    full_gain = multi_gain(cov, assembly)
+    full_gain = multi_gain(cov, rank_order(stations, np.zeros(5), variances))
     # Perturb only the informed columns: the rest are pinned at zero by the
     # infinite-variance limit.
     def excess_multi():
@@ -184,23 +179,22 @@ def check_rank_ordering(n_pools: int = 200) -> CheckResult:
     n_stations = 50
     for trial in range(n_pools):
         count = int(rng.integers(1, 3 * n_stations + 1))
-        candidates = []
-        for _ in range(count):
-            obs = LiveObservation(value=float(rng.standard_normal()),
-                                  position=0.0, variance=float(rng.uniform(0.01, 1.0)),
-                                  origin_time=0, current_time=0)
-            candidates.append(ProjectedDatum(station=int(rng.integers(n_stations)),
-                                             value=obs.value, variance=obs.variance,
-                                             weight=1.0, source=obs))
-        assembly = rank_order(candidates)
-        best: dict[int, ProjectedDatum] = {}
-        for datum in candidates:
-            if datum.station not in best or datum.variance < best[datum.station].variance:
-                best[datum.station] = datum
-        if assembly.informed_stations != tuple(sorted(best)):
+        draws = [(float(rng.standard_normal()), float(rng.uniform(0.01, 1.0)),
+                  int(rng.integers(n_stations))) for _ in range(count)]
+        values, variances, stations = (np.array(column) for column in zip(*draws))
+        assembly = rank_order(stations, values, variances)
+        # Brute force: per station, the first candidate of least variance.
+        best: dict[int, int] = {}
+        for index, (_, variance, station) in enumerate(draws):
+            if station not in best or variance < draws[best[station]][1]:
+                best[station] = index
+        if assembly.informed_stations.tolist() != sorted(best):
             return CheckResult("rank-ordering", False, f"station set mismatch on pool {trial}")
-        for k, station in enumerate(assembly.informed_stations):
-            if assembly.projected_variances[k] != best[station].variance:
+        for k, station in enumerate(assembly.informed_stations.tolist()):
+            value, variance, _ = draws[best[station]]
+            if (assembly.selected[k] != best[station]
+                    or assembly.projected_variances[k] != variance
+                    or assembly.projected_values[k] != value):
                 return CheckResult("rank-ordering", False,
                                    f"winner mismatch at station {station} on pool {trial}")
     return CheckResult("rank-ordering", True, f"{n_pools} random pools match brute force")
@@ -228,24 +222,23 @@ def check_semi_lagrangian(n_steps: int = 100) -> CheckResult:
     The speed is high enough that the position wraps through the periodic
     seam during the run.
     """
-    from .dlf import propagate_observation, propagate_variance
     grid = make_grid(2.0, 50, 0.99, 1.0, n_steps)
     speed = 0.9
     cfg = TruthConfig(drift=Drift.ACCELERATING, base_speed=speed, speed_ramp=0.0,
                       pulse_center=1.0)
-    obs = LiveObservation(value=1.0, position=0.5, variance=0.02,
-                          origin_time=0, current_time=0)
+    pool = Pool(0, value=[1.0], position=[0.5], variance=[0.02], origin_time=[0])
     amp = 0.01
     expected_var = 0.02
     ok = True
     wrapped = False
     for k in range(1, n_steps + 1):
-        previous = obs.position
-        obs = propagate_variance(propagate_observation(obs, grid, cfg), amp, grid.dt)
-        wrapped = wrapped or obs.position < previous
+        previous = pool.position[0]
+        pool = propagate_variance(propagate_observation(pool, grid, cfg), amp, grid.dt)
+        wrapped = wrapped or pool.position[0] < previous
         expected_var = expected_var + amp ** 2 * grid.dt
         target = (0.5 + k * speed * grid.dt) % grid.domain_length
-        ok = ok and abs(obs.position - target) <= 1e-12 and obs.variance == expected_var
+        ok = (ok and pool.time_index == k and abs(pool.position[0] - target) <= 1e-12
+              and pool.variance[0] == expected_var)
     ok = ok and wrapped
     return CheckResult("semi-lagrangian", ok,
                        f"{n_steps} steps incl. seam crossing: position within 1e-12, "

@@ -9,9 +9,7 @@ projected onto stations, rank-ordered by uncertainty, and assimilated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 import scipy.linalg
@@ -23,9 +21,7 @@ from .obsnet import Observation
 from .truth import TruthConfig, mean_speed
 
 __all__ = [
-    "Weighting",
-    "LiveObservation",
-    "ProjectedDatum",
+    "Pool",
     "LikelihoodAssembly",
     "DlfStepResult",
     "propagate_observation",
@@ -48,55 +44,66 @@ POOL_CAP_FACTOR = 4
 _NODE_EPS = 1e-9
 
 
-class Weighting(Enum):
-    """How a continuous datum position maps onto grid stations."""
-
-    NEAREST_LEFT = "nearest-left"  # whole datum to floor(position / dx)
-    LINEAR = "linear"              # split over the bracketing pair by proximity
-
-
 @dataclass(frozen=True)
-class LiveObservation:
-    """A measurement riding the flow: current position and inflated variance."""
+class Pool:
+    """Live observations riding the flow, all at one time index.
 
-    value: float
-    position: float
-    variance: float
-    origin_time: int
-    current_time: int
+    Entry k is a measurement taken at step ``origin_time[k]``, now at
+    ``position[k]`` with inflated ``variance[k]``. Entries are kept in
+    arrival order, oldest first.
+    """
+
+    time_index: int
+    value: np.ndarray
+    position: np.ndarray
+    variance: np.ndarray
+    origin_time: np.ndarray
 
     def __post_init__(self):
-        if self.variance <= 0:
+        for name in ("value", "position", "variance"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        object.__setattr__(self, "origin_time", np.asarray(self.origin_time, dtype=np.int64))
+        n = self.value.shape[0]
+        if any(getattr(self, name).shape != (n,)
+               for name in ("value", "position", "variance", "origin_time")):
+            raise ValueError("pool arrays must be one-dimensional and of equal length")
+        if np.any(self.variance <= 0):
             raise ValueError("live observation variance must be positive")
-        if self.current_time < self.origin_time:
-            raise ValueError("current_time cannot precede origin_time")
+        if np.any(self.origin_time > self.time_index):
+            raise ValueError("origin_time cannot follow the pool's time_index")
 
+    @classmethod
+    def empty(cls, time_index: int) -> "Pool":
+        return cls(time_index, np.empty(0), np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
 
-@dataclass(frozen=True)
-class ProjectedDatum:
-    """A live observation attached to one station, with its projection weight."""
+    def __len__(self):
+        return self.value.shape[0]
 
-    station: int
-    value: float
-    variance: float
-    weight: float
-    source: LiveObservation
+    def take(self, index) -> "Pool":
+        """The entries picked by ``index`` (a mask, index array or slice)."""
+        return Pool(self.time_index, self.value[index], self.position[index],
+                    self.variance[index], self.origin_time[index])
 
 
 @dataclass(frozen=True)
 class LikelihoodAssembly:
-    """Winning datum per informed station, ready for the multi-analysis."""
+    """Winning datum per informed station, ready for the multi-analysis.
 
-    informed_stations: tuple[int, ...]
+    ``selected[k]`` is the index, among the ranked candidates, of the datum
+    that informs ``informed_stations[k]``.
+    """
+
+    informed_stations: np.ndarray
     projected_values: np.ndarray
     projected_variances: np.ndarray
-    selection_trace: dict[int, ProjectedDatum]
+    selected: np.ndarray
 
     def __post_init__(self):
         k = len(self.informed_stations)
-        if len(set(self.informed_stations)) != k:
+        if np.unique(self.informed_stations).size != k:
             raise ValueError("at most one datum per station")
-        if self.projected_values.shape != (k,) or self.projected_variances.shape != (k,):
+        if any(a.shape != (k,) for a in (self.projected_values, self.projected_variances,
+                                         self.selected)):
             raise ValueError("assembly arrays must match the informed station count")
 
     def __len__(self):
@@ -106,83 +113,56 @@ class LikelihoodAssembly:
 @dataclass(frozen=True)
 class DlfStepResult:
     estimate: StateEstimate
-    pool: list[LiveObservation]
+    pool: Pool
     assembly: LikelihoodAssembly
 
 
-def propagate_observation(obs: LiveObservation, grid: GridSpec,
-                          truth_cfg: TruthConfig) -> LiveObservation:
-    """Advance the datum position one semi-Lagrangian step along the mean speed.
+def propagate_observation(pool: Pool, grid: GridSpec, truth_cfg: TruthConfig) -> Pool:
+    """Advance every datum position one semi-Lagrangian step along the mean speed.
 
-    The value is carried unchanged; the position uses the speed at the old
-    position and time, then wraps periodically.
+    Values are carried unchanged; positions use the speed at the old
+    positions and time, then wrap periodically.
     """
-    t = obs.current_time * grid.dt
-    speed = float(mean_speed(truth_cfg, obs.position, t))
-    new_pos = float(grid.wrap(obs.position + grid.dt * speed))
-    return replace(obs, position=new_pos, current_time=obs.current_time + 1)
+    speed = mean_speed(truth_cfg, pool.position, pool.time_index * grid.dt)
+    return replace(pool, position=grid.wrap(pool.position + grid.dt * speed),
+                   time_index=pool.time_index + 1)
 
 
-def propagate_variance(obs: LiveObservation, forcing_amp: float, dt: float) -> LiveObservation:
-    """Inflate the datum variance by one step of forcing noise: += amp^2 * dt."""
-    return replace(obs, variance=obs.variance + forcing_amp ** 2 * dt)
+def propagate_variance(pool: Pool, forcing_amp: float, dt: float) -> Pool:
+    """Inflate every datum variance by one step of forcing noise: += amp^2 * dt."""
+    return replace(pool, variance=pool.variance + forcing_amp ** 2 * dt)
 
 
-def viability_filter(live: list[LiveObservation], forecast_cov: np.ndarray,
-                     grid: GridSpec) -> list[LiveObservation]:
+def viability_filter(pool: Pool, forecast_cov: np.ndarray, grid: GridSpec) -> Pool:
     """Drop data whose variance exceeds the forecast variance at the nearest station."""
-    diag = np.diag(forecast_cov)
-    kept = []
-    for obs in live:
-        station = int(math.floor(obs.position / grid.dx + 0.5)) % grid.n_points
-        if obs.variance <= diag[station]:
-            kept.append(obs)
-    return kept
+    station = np.floor(pool.position / grid.dx + 0.5).astype(np.int64) % grid.n_points
+    return pool.take(pool.variance <= np.diag(forecast_cov)[station])
 
 
-def project(live: list[LiveObservation], grid: GridSpec,
-            weighting: Weighting = Weighting.NEAREST_LEFT) -> list[ProjectedDatum]:
-    """Attach each live observation to grid stations.
-
-    NEAREST_LEFT assigns the whole datum to the node at floor(position / dx).
-    LINEAR splits it across the bracketing pair with weight b = rem / dx on
-    the right node; each fragment keeps the full variance.
-    """
-    out = []
-    n = grid.n_points
-    for obs in live:
-        ratio = obs.position / grid.dx + _NODE_EPS
-        left = int(math.floor(ratio)) % n
-        frac = ratio - math.floor(ratio)
-        if weighting is Weighting.NEAREST_LEFT or frac <= 2 * _NODE_EPS:
-            out.append(ProjectedDatum(station=left, value=obs.value,
-                                      variance=obs.variance, weight=1.0, source=obs))
-        else:
-            right = (left + 1) % n
-            out.append(ProjectedDatum(station=left, value=(1.0 - frac) * obs.value,
-                                      variance=obs.variance, weight=1.0 - frac, source=obs))
-            out.append(ProjectedDatum(station=right, value=frac * obs.value,
-                                      variance=obs.variance, weight=frac, source=obs))
-    return out
+def project(pool: Pool, grid: GridSpec) -> np.ndarray:
+    """Station of each datum: the node at floor(position / dx)."""
+    return np.floor(pool.position / grid.dx + _NODE_EPS).astype(np.int64) % grid.n_points
 
 
-def rank_order(projected: list[ProjectedDatum]) -> LikelihoodAssembly:
+def rank_order(stations: np.ndarray, values: np.ndarray,
+               variances: np.ndarray) -> LikelihoodAssembly:
     """Keep, per station, the candidate with the lowest variance.
 
-    Candidates are scanned in order of increasing variance; a station takes
-    the first datum offered to it and discards the rest.
+    Ties go to the earlier candidate (the sort is stable), so among equally
+    uncertain data the one that joined the pool first wins.
     """
-    winners: dict[int, ProjectedDatum] = {}
-    for datum in sorted(projected, key=lambda d: d.variance):
-        if datum.station not in winners:
-            winners[datum.station] = datum
-    stations = tuple(sorted(winners))
-    return LikelihoodAssembly(
-        informed_stations=stations,
-        projected_values=np.array([winners[s].value for s in stations]),
-        projected_variances=np.array([winners[s].variance for s in stations]),
-        selection_trace=winners,
-    )
+    stations = np.asarray(stations, dtype=np.int64)
+    values = np.asarray(values, dtype=float)
+    variances = np.asarray(variances, dtype=float)
+    order = np.lexsort((variances, stations))
+    ranked = stations[order]
+    first = np.ones(ranked.shape, dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    selected = order[first]
+    return LikelihoodAssembly(informed_stations=stations[selected],
+                              projected_values=values[selected],
+                              projected_variances=variances[selected],
+                              selected=selected)
 
 
 def multi_gain(forecast_cov: np.ndarray, assembly: LikelihoodAssembly) -> np.ndarray:
@@ -194,7 +174,7 @@ def multi_gain(forecast_cov: np.ndarray, assembly: LikelihoodAssembly) -> np.nda
     """
     if len(assembly) == 0:
         raise ValueError("multi_gain needs a nonempty assembly")
-    idx = np.array(assembly.informed_stations)
+    idx = assembly.informed_stations
     restricted = forecast_cov[np.ix_(idx, idx)] + np.diag(assembly.projected_variances)
     try:
         columns = scipy.linalg.solve(restricted, forecast_cov[:, idx].T, assume_a="pos").T
@@ -214,7 +194,7 @@ def multi_analysis(forecast_est: StateEstimate, assembly: LikelihoodAssembly) ->
     if len(assembly) == 0:
         return forecast_est
     gain = multi_gain(forecast_est.covariance, assembly)
-    idx = np.array(assembly.informed_stations)
+    idx = assembly.informed_stations
     innovation = np.zeros_like(forecast_est.mean)
     innovation[idx] = assembly.projected_values - forecast_est.mean[idx]
     mean = forecast_est.mean + gain @ innovation
@@ -223,40 +203,46 @@ def multi_analysis(forecast_est: StateEstimate, assembly: LikelihoodAssembly) ->
     return StateEstimate(time_index=forecast_est.time_index, mean=mean, covariance=cov)
 
 
-def dlf_step(prev: StateEstimate, pool: list[LiveObservation], fresh: list[Observation],
-             grid: GridSpec, model_cfg: ModelConfig, truth_cfg: TruthConfig,
-             weighting: Weighting = Weighting.NEAREST_LEFT) -> DlfStepResult:
+def _join_fresh(pool: Pool, fresh: list[Observation], grid: GridSpec) -> Pool:
+    """Append fresh measurements, taken at the pool's time, at their stations."""
+    if not fresh:
+        return pool
+    times = {obs.time_index for obs in fresh}
+    if times != {pool.time_index}:
+        raise ValueError(f"fresh observations at steps {sorted(times)}, "
+                         f"expected {pool.time_index}")
+    stations = np.array([obs.station for obs in fresh])
+    return Pool(pool.time_index,
+                np.concatenate([pool.value, [obs.value for obs in fresh]]),
+                np.concatenate([pool.position, stations * grid.dx]),
+                np.concatenate([pool.variance, [obs.variance for obs in fresh]]),
+                np.concatenate([pool.origin_time, np.full(len(fresh), pool.time_index)]))
+
+
+def dlf_step(prev: StateEstimate, pool: Pool, fresh: list[Observation],
+             grid: GridSpec, model_cfg: ModelConfig, truth_cfg: TruthConfig) -> DlfStepResult:
     """One full filter step: forecast, refresh the pool, assemble, analyze.
 
-    The pool is advanced one step (position and variance), fresh measurements
-    join it at their stations, non-viable members are shed, and the survivors
-    are projected and rank-ordered into the assembly used by the
-    multi-analysis. Survivors persist to the next step.
+    The pool is advanced one step (positions and variances), fresh
+    measurements join it at their stations, non-viable members are shed, and
+    the survivors are projected and rank-ordered into the assembly used by
+    the multi-analysis. Survivors persist to the next step; the assembly's
+    ``selected`` indexes them.
     """
-    if any(obs.current_time != prev.time_index for obs in pool):
-        raise ValueError("pool members must sit at the previous time index")
+    if pool.time_index != prev.time_index:
+        raise ValueError(f"pool at step {pool.time_index}, expected {prev.time_index}")
     t_prev = prev.time_index * grid.dt
     speeds = np.asarray(mean_speed(truth_cfg, grid.positions, t_prev), dtype=float)
     forecast_est = forecast(prev, grid, model_cfg, speeds)
 
-    advanced = [propagate_variance(propagate_observation(obs, grid, truth_cfg),
-                                   truth_cfg.forcing_noise, grid.dt)
-                for obs in pool]
-    now = prev.time_index + 1
-    for obs in fresh:
-        if obs.time_index != now:
-            raise ValueError(f"fresh observation at step {obs.time_index}, expected {now}")
-        advanced.append(LiveObservation(value=obs.value,
-                                        position=obs.station * grid.dx,
-                                        variance=obs.variance,
-                                        origin_time=obs.time_index,
-                                        current_time=now))
-
-    survivors = viability_filter(advanced, forecast_est.covariance, grid)
+    advanced = propagate_variance(propagate_observation(pool, grid, truth_cfg),
+                                  truth_cfg.forcing_noise, grid.dt)
+    survivors = viability_filter(_join_fresh(advanced, fresh, grid),
+                                 forecast_est.covariance, grid)
     cap = POOL_CAP_FACTOR * grid.n_points
     if len(survivors) > cap:
-        survivors = survivors[-cap:]
+        survivors = survivors.take(slice(-cap, None))
 
-    assembly = rank_order(project(survivors, grid, weighting))
+    assembly = rank_order(project(survivors, grid), survivors.value, survivors.variance)
     estimate = multi_analysis(forecast_est, assembly)
     return DlfStepResult(estimate=estimate, pool=survivors, assembly=assembly)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .core import GridSpec, NoiseSource, StateEstimate, make_grid
-from .dlf import LiveObservation, dlf_step
+from .dlf import Pool, dlf_step
 from .kalman import analysis, forecast
 from .model import ModelConfig, model_step
 from .obsnet import (Observation, build_network, observation_matrix,
@@ -201,7 +201,7 @@ def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False) -> RunRe
     model_only[0] = initial_mean
     kf_states = [initial]
     dlf_states = [initial]
-    pool: list[LiveObservation] = []
+    pool = Pool.empty(time_index=0)
     trace_rows: list[tuple] | None = [] if collect_pool_trace else None
 
     for step in range(1, grid.n_steps + 1):
@@ -209,7 +209,7 @@ def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False) -> RunRe
         speeds = np.asarray(mean_speed(truth_cfg, grid.positions, t_prev), dtype=float)
 
         model_only[step] = model_step(model_only[step - 1], grid, model_only_cfg,
-                                      speeds, model_src, time=t_prev)
+                                      speeds, model_src)
 
         kf_est = forecast(kf_states[-1], grid, model_cfg, speeds)
         fresh = fresh_by_step.get(step, [])
@@ -221,10 +221,11 @@ def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False) -> RunRe
         dlf_states.append(result.estimate)
         pool = result.pool
         if trace_rows is not None:
-            winners = {id(d.source) for d in result.assembly.selection_trace.values()}
-            for obs in pool:
-                trace_rows.append((step, obs.origin_time, obs.position, obs.variance,
-                                   int(id(obs) in winners)))
+            selected = np.zeros(len(pool), dtype=int)
+            selected[result.assembly.selected] = 1
+            trace_rows.extend((step, *row) for row in zip(
+                pool.origin_time.tolist(), pool.position.tolist(), pool.variance.tolist(),
+                selected.tolist()))
 
     metrics = _compute_metrics(grid, truth, model_only, kf_states, dlf_states)
     return RunResult(config=cfg, grid=grid, truth=truth, observations=observations,

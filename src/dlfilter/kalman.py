@@ -36,13 +36,13 @@ class KalmanGain:
 
 
 def forecast_step(mean: np.ndarray, cov: np.ndarray, transition: np.ndarray,
-                  noise_var: float, forcing_term: np.ndarray | float = 0.0):
+                  noise_var: float):
     """Propagate mean and covariance through one linear step.
 
-    Returns the forecast pair (transition @ mean + forcing_term,
+    Returns the forecast pair (transition @ mean,
     transition @ cov @ transition.T + noise_var * I), covariance symmetrized.
     """
-    new_mean = transition @ mean + forcing_term
+    new_mean = transition @ mean
     new_cov = transition @ cov @ transition.T
     new_cov = 0.5 * (new_cov + new_cov.T)
     if noise_var:
@@ -54,11 +54,7 @@ def forecast(prev: StateEstimate, grid: GridSpec, model_cfg: ModelConfig,
              speeds: np.ndarray) -> StateEstimate:
     """One forecast step of the filter through the Lax-Friedrichs model."""
     transition = lax_friedrichs_matrix(grid, speeds)
-    forcing_term = 0.0
-    if model_cfg.forcing is not None:
-        forcing_term = grid.dt * np.asarray(model_cfg.forcing(prev.time_index * grid.dt), dtype=float)
-    mean, cov = forecast_step(prev.mean, prev.covariance, transition,
-                              model_cfg.noise_var, forcing_term)
+    mean, cov = forecast_step(prev.mean, prev.covariance, transition, model_cfg.noise_var)
     return StateEstimate(time_index=prev.time_index + 1, mean=mean, covariance=cov)
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -18,15 +17,13 @@ _CFL_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Model noise level and optional deterministic forcing.
+    """Model noise level.
 
     ``noise_var`` is the per-step noise covariance scale: every step adds
-    noise_var * I to the state covariance. ``forcing`` maps a time to a
-    per-station forcing vector; None means unforced.
+    noise_var * I to the state covariance.
     """
 
     noise_var: float = 0.0
-    forcing: Callable[[float], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.noise_var < 0:
@@ -56,8 +53,8 @@ def lax_friedrichs_matrix(grid: GridSpec, speeds: np.ndarray) -> np.ndarray:
 
 
 def model_step(state: np.ndarray, grid: GridSpec, cfg: ModelConfig, speeds: np.ndarray,
-               src: NoiseSource, time: float = 0.0) -> np.ndarray:
-    """Advance the state one step: advection, forcing, additive model noise.
+               src: NoiseSource) -> np.ndarray:
+    """Advance the state one step: advection, then additive model noise.
 
     The noise adds per-station variance ``cfg.noise_var`` per step, matching
     the covariance inflation used by the filters' forecast.
@@ -65,8 +62,6 @@ def model_step(state: np.ndarray, grid: GridSpec, cfg: ModelConfig, speeds: np.n
     state = np.asarray(state, dtype=float)
     transition = lax_friedrichs_matrix(grid, speeds)
     out = transition @ state
-    if cfg.forcing is not None:
-        out = out + grid.dt * np.asarray(cfg.forcing(time), dtype=float)
     if cfg.noise_var > 0:
         out = out + gaussian_vector(src, grid.n_points, math.sqrt(cfg.noise_var))
     return out

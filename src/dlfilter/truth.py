@@ -51,8 +51,7 @@ class TruthConfig:
     ``relax_rate`` drives the OU drift; ``base_speed`` and ``speed_ramp``
     drive the accelerating drift. ``speed_noise`` is the Wiener amplitude on
     the wave speed, ``forcing_noise`` the Wiener amplitude on the carried
-    value, ``forcing_mean`` its deterministic part (zero in the standard
-    scenarios).
+    value (the forcing has zero mean).
     """
 
     drift: Drift
@@ -61,7 +60,6 @@ class TruthConfig:
     speed_ramp: float = 0.0
     speed_noise: float = 0.0
     forcing_noise: float = 0.0
-    forcing_mean: float = 0.0
     pulse_center: float = 1.0
     init_var: float = 0.0
 
@@ -170,8 +168,7 @@ def generate_truth(grid: GridSpec, cfg: TruthConfig, src: NoiseSource) -> TruthF
         t = step * grid.dt
         paths[step + 1] = step_characteristic_exact(
             cfg, paths[step], t, grid.dt, speed_src, wrap_length=grid.domain_length)
-        carried = carried + cfg.forcing_mean * grid.dt \
-            + gaussian_vector(forcing_src, n, cfg.forcing_noise * sqrt_dt)
+        carried = carried + gaussian_vector(forcing_src, n, cfg.forcing_noise * sqrt_dt)
         values[step + 1] = _interp_periodic(
             grid.positions, paths[step + 1], carried, grid.domain_length)
     return TruthField(values=values, characteristic_paths=paths)

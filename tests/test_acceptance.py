@@ -17,7 +17,7 @@ from dlfilter.checks import (check_gain_optimality, check_gaussian_conditioning,
                              check_rank_ordering, check_sde_moments,
                              check_semi_lagrangian, check_shift_exactness)
 from dlfilter.core import NoiseSource, StateEstimate
-from dlfilter.dlf import dlf_step, rank_order
+from dlfilter.dlf import Pool, dlf_step, rank_order
 from dlfilter.harness import (config_from_flat, default_config, run_scenario,
                               summarize_run, write_outputs)
 from dlfilter.kalman import analysis, forecast
@@ -91,8 +91,8 @@ def test_criterion_3_dense_fresh_data_reduces_to_kalman_per_step():
         kf_est = analysis(forecast(kf_est, grid, model_cfg, speeds),
                           fresh_by_step[step], obs_mat, cfg.obs_var)
         # fresh-only pool: past data is withheld on purpose
-        dlf_est = dlf_step(dlf_est, [], fresh_by_step[step], grid, model_cfg,
-                           truth_cfg).estimate
+        dlf_est = dlf_step(dlf_est, Pool.empty(dlf_est.time_index), fresh_by_step[step],
+                           grid, model_cfg, truth_cfg).estimate
         worst = max(worst,
                     float(np.abs(kf_est.mean - dlf_est.mean).max()),
                     float(np.abs(kf_est.covariance - dlf_est.covariance).max()))
@@ -176,17 +176,10 @@ def test_criterion_11_rank_ordering_brute_force_and_coverage():
         [1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1],
         [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 0],
     ]
-    from dlfilter.dlf import LiveObservation, ProjectedDatum
-    data = []
-    for batch, mask in enumerate(coverage, start=1):
-        for station, hit in enumerate(mask):
-            if hit:
-                src = LiveObservation(value=float(batch), position=0.0,
-                                      variance=batch * 0.01, origin_time=0, current_time=0)
-                data.append(ProjectedDatum(station=station, value=float(batch),
-                                           variance=batch * 0.01, weight=1.0, source=src))
-    assembly = rank_order(data)
-    all_informed = assembly.informed_stations == tuple(range(11))
+    batches, stations = np.nonzero(coverage)
+    batches = batches + 1
+    assembly = rank_order(stations, batches.astype(float), batches * 0.01)
+    all_informed = assembly.informed_stations.tolist() == list(range(11))
     ok = ok and all_informed
     assert report(11, "rank ordering", ok,
                   f"{result.detail}; schematic informs {len(assembly)}/11 stations")

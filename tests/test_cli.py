@@ -42,6 +42,7 @@ def test_run_command_pool_trace(tmp_path, config_file):
     lines = (out_dir / "pool_trace.csv").read_text().splitlines()
     assert lines[0] == "step,origin_time,position,variance,selected"
     assert len(lines) > 1
+    assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {"0", "1"}
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert "pool_trace.csv" in manifest["outputs"]
 

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dlfilter.core import StateEstimate, make_grid
-from dlfilter.dlf import (LiveObservation, ProjectedDatum, Weighting, dlf_step,
-                          multi_analysis, multi_gain, project, propagate_observation,
-                          propagate_variance, rank_order, viability_filter)
+from dlfilter.dlf import (POOL_CAP_FACTOR, Pool, dlf_step, multi_analysis, multi_gain,
+                          project, propagate_observation, propagate_variance, rank_order,
+                          viability_filter)
 from dlfilter.kalman import analysis, forecast
 from dlfilter.model import ModelConfig
 from dlfilter.obsnet import Observation, build_network
@@ -20,9 +23,21 @@ def constant_speed_cfg(speed):
                        forcing_noise=0.01, pulse_center=1.0)
 
 
+def pool_of(values=(1.0,), positions=(0.5,), variances=(0.02,), origins=None, time_index=0):
+    origins = [time_index] * len(values) if origins is None else origins
+    return Pool(time_index, value=values, position=positions, variance=variances,
+                origin_time=origins)
+
+
 def live(value=1.0, position=0.5, variance=0.02, origin=0, current=0):
-    return LiveObservation(value=value, position=position, variance=variance,
-                           origin_time=origin, current_time=current)
+    """A pool holding one datum."""
+    return pool_of((value,), (position,), (variance,), (origin,), current)
+
+
+def assert_pool_equal(a, b):
+    assert a.time_index == b.time_index
+    for name in ("value", "position", "variance", "origin_time"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def random_spd(rng, n):
@@ -30,83 +45,94 @@ def random_spd(rng, n):
     return a @ a.T + 0.1 * np.eye(n)
 
 
+# --- the pool ---------------------------------------------------------------------
+
+def test_pool_rejects_invalid_entries():
+    with pytest.raises(ValueError):
+        live(variance=0.0)
+    with pytest.raises(ValueError):
+        live(origin=3, current=2)
+    with pytest.raises(ValueError):
+        Pool(0, value=[1.0, 2.0], position=[0.5], variance=[0.02], origin_time=[0])
+
+
 # --- datum transport -------------------------------------------------------------
 
 def test_propagation_constant_advection():
     grid = make_grid(2.0, 20, 1.0, 1.0, 10)  # dt = 0.1
     out = propagate_observation(live(position=0.5), grid, constant_speed_cfg(1.0))
-    assert out.position == pytest.approx(0.6)
-    assert out.value == 1.0
-    assert out.current_time == 1
+    assert out.position[0] == pytest.approx(0.6)
+    assert out.value[0] == 1.0
+    assert out.time_index == 1
 
 
 def test_propagation_wraps_at_the_seam():
     grid = make_grid(2.0, 20, 1.0, 1.0, 10)
     out = propagate_observation(live(position=1.95), grid, constant_speed_cfg(1.0))
-    assert out.position == pytest.approx(0.05)
+    assert out.position[0] == pytest.approx(0.05)
 
 
 def test_propagation_matches_fine_step_oracle_for_growing_speed():
     grid = grid_for()
     cfg = TruthConfig(drift=Drift.ACCELERATING, base_speed=0.1, speed_ramp=0.01,
                       pulse_center=1.0)
-    obs = live(position=1.0)
+    pool = live(position=1.0)
     for _ in range(10):
-        obs = propagate_observation(obs, grid, cfg)
+        pool = propagate_observation(pool, grid, cfg)
 
     fine_steps = 100
     fine_dt = grid.dt / fine_steps
     zeta = 1.0
     for k in range(10 * fine_steps):
         zeta += fine_dt * float(mean_speed(cfg, zeta, k * fine_dt))
-    assert abs(obs.position - zeta) < 2 * grid.dt * 0.01  # O(dt) step error
+    assert abs(pool.position[0] - zeta) < 2 * grid.dt * 0.01  # O(dt) step error
 
 
 def test_variance_propagation_noise_free_forcing():
     out = propagate_variance(live(variance=0.02), 0.0, 0.5)
-    assert out.variance == 0.02
+    assert out.variance[0] == 0.02
 
 
 def test_variance_propagation_standard_parameters():
     out = propagate_variance(live(variance=0.02), 0.01, 0.0396)
-    assert out.variance == 0.02 + 1e-4 * 0.0396
+    assert out.variance[0] == 0.02 + 1e-4 * 0.0396
 
 
 def test_variance_accumulates_closed_form():
     amp, dt = 0.01, 0.0396
-    obs = live(variance=0.02)
+    pool = live(variance=0.02)
     expected = 0.02
     for k in range(200):
-        obs = propagate_variance(obs, amp, dt)
+        pool = propagate_variance(pool, amp, dt)
         expected += amp**2 * dt
-        assert obs.variance == expected
-    assert obs.variance == pytest.approx(0.02 + 200 * amp**2 * dt, rel=1e-12)
+        assert pool.variance[0] == expected
+    assert pool.variance[0] == pytest.approx(0.02 + 200 * amp**2 * dt, rel=1e-12)
 
 
 def test_variance_is_monotone_under_propagation():
     grid = grid_for()
     cfg = constant_speed_cfg(0.3)
-    obs = live(variance=0.02)
-    last = obs.variance
+    pool = live(variance=0.02)
+    last = pool.variance[0]
     for _ in range(50):
-        obs = propagate_variance(propagate_observation(obs, grid, cfg), 0.01, grid.dt)
-        assert obs.variance >= last
-        last = obs.variance
+        pool = propagate_variance(propagate_observation(pool, grid, cfg), 0.01, grid.dt)
+        assert pool.variance[0] >= last
+        last = pool.variance[0]
 
 
 # --- viability --------------------------------------------------------------------
 
 def test_viability_keeps_everything_below_model_variance():
     grid = grid_for()
-    pool = [live(position=p, variance=0.02) for p in (0.1, 0.7, 1.3)]
-    assert viability_filter(pool, 0.08 * np.eye(50), grid) == pool
+    pool = pool_of((1.0, 1.0, 1.0), (0.1, 0.7, 1.3), (0.02, 0.02, 0.02))
+    assert_pool_equal(viability_filter(pool, 0.08 * np.eye(50), grid), pool)
 
 
 def test_viability_drops_degraded_datum():
     grid = grid_for()
     cov = 0.08 * np.eye(50)
-    pool = [live(position=0.7, variance=10 * 0.08)]
-    assert viability_filter(pool, cov, grid) == []
+    pool = live(position=0.7, variance=10 * 0.08)
+    assert len(viability_filter(pool, cov, grid)) == 0
 
 
 def test_viability_uses_nearest_station_variance():
@@ -114,101 +140,109 @@ def test_viability_uses_nearest_station_variance():
     cov = 0.08 * np.eye(50)
     cov[18, 18] = 0.01  # station nearest to position 0.73
     keep = live(position=0.73, variance=0.02)
-    assert viability_filter([keep], cov, grid) == []
+    assert len(viability_filter(keep, cov, grid)) == 0
     cov[18, 18] = 0.05
-    assert viability_filter([keep], cov, grid) == [keep]
+    assert_pool_equal(viability_filter(keep, cov, grid), keep)
 
 
 def test_fresh_datum_survives_standard_noise_levels():
     # measurement noise below the per-step model noise keeps fresh data viable
     grid = grid_for()
-    pool = [live(position=k * grid.dx, variance=0.02) for k in range(0, 50, 5)]
+    positions = [k * grid.dx for k in range(0, 50, 5)]
+    pool = pool_of([1.0] * 10, positions, [0.02] * 10)
     cov = 0.08 * np.eye(50)
     assert len(viability_filter(pool, cov, grid)) == len(pool)
 
 
 # --- projection --------------------------------------------------------------------
 
-def test_project_on_node_either_mode():
+def test_project_snaps_to_a_node_within_rounding():
     grid = grid_for()
-    obs = live(position=17 * grid.dx)
-    for mode in (Weighting.NEAREST_LEFT, Weighting.LINEAR):
-        out = project([obs], grid, mode)
-        assert len(out) == 1
-        assert out[0].station == 17
-        assert out[0].weight == 1.0
-        assert out[0].value == obs.value
+    node = 17 * grid.dx
+    # the guard is 1e-9 in units of dx: 4e-11 here
+    positions = (node, node - 1e-12, node + 1e-12, node - 1e-9)
+    stations = project(pool_of([1.0] * 4, positions, [0.02] * 4), grid)
+    assert stations.tolist() == [17, 17, 17, 16]
 
 
 def test_project_nearest_left_floor():
     grid = grid_for()
-    out = project([live(position=0.059)], grid)
-    assert out[0].station == 1  # floor(0.059 / 0.04)
-
-
-def test_project_linear_midpoint_splits_evenly():
-    grid = grid_for()
-    out = project([live(position=0.06, value=2.0)], grid, Weighting.LINEAR)
-    assert [d.station for d in out] == [1, 2]
-    assert out[0].weight == pytest.approx(0.5, abs=1e-7)
-    assert out[1].weight == pytest.approx(0.5, abs=1e-7)
-    assert out[0].value == pytest.approx(1.0, abs=1e-6)
-    # both fragments keep the full variance
-    assert out[0].variance == out[1].variance == 0.02
+    assert project(live(position=0.059), grid).tolist() == [1]  # floor(0.059 / 0.04)
 
 
 def test_project_station_positions_map_to_their_own_station():
     grid = grid_for()
-    for station in range(grid.n_points):
-        out = project([live(position=station * grid.dx)], grid)
-        assert out[0].station == station
+    positions = [station * grid.dx for station in range(grid.n_points)]
+    stations = project(pool_of([1.0] * grid.n_points, positions, [0.02] * grid.n_points), grid)
+    assert stations.tolist() == list(range(grid.n_points))
 
 
 def test_project_wraps_past_last_station():
     grid = grid_for()
-    out = project([live(position=1.99)], grid)
-    assert out[0].station == 49
+    assert project(live(position=1.99), grid).tolist() == [49]
 
 
 # --- rank ordering -------------------------------------------------------------------
 
-def datum(station, variance, value=0.0, origin=0):
-    return ProjectedDatum(station=station, value=value, variance=variance, weight=1.0,
-                          source=live(value=value, variance=variance, origin=origin,
-                                      current=origin))
-
-
 def test_rank_order_disjoint_stations_all_pass():
-    data = [datum(3, 0.1), datum(7, 0.4), datum(12, 0.2)]
-    assembly = rank_order(data)
-    assert assembly.informed_stations == (3, 7, 12)
+    assembly = rank_order([3, 7, 12], np.zeros(3), [0.1, 0.4, 0.2])
+    assert assembly.informed_stations.tolist() == [3, 7, 12]
+    assert assembly.selected.tolist() == [0, 1, 2]
     assert len(assembly) == 3
 
 
 def test_rank_order_lowest_variance_wins():
-    data = [datum(5, 0.05, value=1.0), datum(5, 0.02, value=2.0)]
-    assembly = rank_order(data)
-    assert assembly.informed_stations == (5,)
+    assembly = rank_order([5, 5], [1.0, 2.0], [0.05, 0.02])
+    assert assembly.informed_stations.tolist() == [5]
+    assert assembly.selected.tolist() == [1]
     assert assembly.projected_values[0] == 2.0
     assert assembly.projected_variances[0] == 0.02
+
+
+def test_rank_order_variance_ties_go_to_the_earlier_candidate():
+    assembly = rank_order([5, 2, 5, 5], [1.0, 9.0, 2.0, 3.0], [0.03, 0.02, 0.02, 0.02])
+    assert assembly.informed_stations.tolist() == [2, 5]
+    assert assembly.selected.tolist() == [1, 2]
+    assert assembly.projected_values.tolist() == [9.0, 2.0]
+
+
+def test_dlf_step_variance_ties_go_to_the_earlier_pool_entry():
+    grid = grid_for()
+    cfg = flow_cfg()
+    est = StateEstimate(0, np.zeros(50), 0.02 * np.eye(50))
+    model_cfg = ModelConfig(noise_var=0.08)
+    # two pooled data at one station with equal variance: the older entry wins
+    pool = pool_of((1.0, 2.0), (0.0, 0.0), (0.02, 0.02))
+    result = dlf_step(est, pool, [], grid, model_cfg, cfg)
+    assert result.assembly.informed_stations.tolist() == [0]
+    assert result.assembly.selected.tolist() == [0]
+    assert result.assembly.projected_values.tolist() == [1.0]
+    # a fresh datum at that station carries less variance than the inflated
+    # pooled ones and wins, although it joins the pool last
+    fresh = [Observation(value=3.0, station=0, time_index=1, variance=0.02)]
+    result = dlf_step(est, pool, fresh, grid, model_cfg, cfg)
+    assert result.assembly.selected.tolist() == [2]
+    assert result.assembly.projected_values.tolist() == [3.0]
+    assert result.assembly.projected_variances.tolist() == [0.02]
 
 
 def test_rank_order_matches_brute_force_on_random_pools():
     rng = np.random.default_rng(123)
     for _ in range(100):
         count = int(rng.integers(1, 151))
-        data = [datum(int(rng.integers(50)), float(rng.uniform(0.01, 1.0)),
-                      value=float(rng.standard_normal()))
-                for _ in range(count)]
-        assembly = rank_order(data)
+        stations = rng.integers(50, size=count)
+        variances = rng.uniform(0.01, 1.0, size=count)
+        values = rng.standard_normal(count)
+        assembly = rank_order(stations, values, variances)
         best = {}
-        for d in data:
-            if d.station not in best or d.variance < best[d.station].variance:
-                best[d.station] = d
-        assert assembly.informed_stations == tuple(sorted(best))
-        for k, station in enumerate(assembly.informed_stations):
-            assert assembly.projected_variances[k] == best[station].variance
-            assert assembly.projected_values[k] == best[station].value
+        for index, station in enumerate(stations.tolist()):
+            if station not in best or variances[index] < variances[best[station]]:
+                best[station] = index
+        assert assembly.informed_stations.tolist() == sorted(best)
+        for k, station in enumerate(assembly.informed_stations.tolist()):
+            assert assembly.selected[k] == best[station]
+            assert assembly.projected_variances[k] == variances[best[station]]
+            assert assembly.projected_values[k] == values[best[station]]
 
 
 def test_rank_order_eleven_station_coverage_example():
@@ -221,15 +255,12 @@ def test_rank_order_eleven_station_coverage_example():
         [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 0],
     ]
     base_var = 0.01
-    data = []
-    for batch, mask in enumerate(coverage, start=1):
-        for station, hit in enumerate(mask):
-            if hit:
-                # uncertainty grows linearly with batch age
-                data.append(datum(station, batch * base_var, value=float(batch)))
-    assembly = rank_order(data)
+    batches, stations = np.nonzero(coverage)
+    batches = batches + 1
+    # uncertainty grows linearly with batch age
+    assembly = rank_order(stations, batches.astype(float), batches * base_var)
     # every station ends up informed
-    assert assembly.informed_stations == tuple(range(11))
+    assert assembly.informed_stations.tolist() == list(range(11))
     # winner is the earliest batch covering the station
     expected_batch = [3, 1, 2, 1, 4, 1, 3, 1, 5, 1, 1]
     np.testing.assert_array_equal(assembly.projected_values, expected_batch)
@@ -238,8 +269,7 @@ def test_rank_order_eleven_station_coverage_example():
 # --- multi gain / analysis --------------------------------------------------------------
 
 def full_assembly(values, variances):
-    n = len(values)
-    return rank_order([datum(s, variances[s], value=values[s]) for s in range(n)])
+    return rank_order(np.arange(len(values)), values, variances)
 
 
 def test_multi_gain_identity_prior_unit_variance_is_half_identity():
@@ -263,8 +293,7 @@ def test_multi_gain_matches_conditioning_oracle_on_subset():
         stations = np.sort(rng.choice(n, size=2, replace=False))
         variances = rng.uniform(0.01, 0.4, size=2)
         values = rng.standard_normal(2)
-        assembly = rank_order([datum(int(s), float(r), value=float(v))
-                               for s, r, v in zip(stations, variances, values)])
+        assembly = rank_order(stations, values, variances)
         mean = rng.standard_normal(n)
         est = multi_analysis(StateEstimate(1, mean, cov), assembly)
 
@@ -280,14 +309,14 @@ def test_multi_gain_matches_conditioning_oracle_on_subset():
 
 
 def test_multi_gain_rejects_empty_assembly():
-    assembly = rank_order([])
+    assembly = rank_order([], [], [])
     with pytest.raises(ValueError):
         multi_gain(np.eye(4), assembly)
 
 
 def test_multi_analysis_empty_assembly_returns_forecast():
     est = StateEstimate(2, np.ones(5), np.eye(5))
-    assert multi_analysis(est, rank_order([])) is est
+    assert multi_analysis(est, rank_order([], [], [])) is est
 
 
 def test_multi_analysis_per_station_scalar_updates():
@@ -324,7 +353,7 @@ def test_multi_gain_optimal_on_informed_subspace():
     cov = random_spd(rng, n)
     stations = np.array([0, 3, 4, 9])
     variances = np.array([0.02, 0.05, 0.11, 0.3])
-    assembly = rank_order([datum(int(s), float(r)) for s, r in zip(stations, variances)])
+    assembly = rank_order(stations, np.zeros(4), variances)
     gain = multi_gain(cov, assembly)
 
     def joseph_trace(cols):
@@ -347,7 +376,7 @@ def test_multi_analysis_trace_never_increases():
     n = 20
     cov = random_spd(rng, n)
     stations = rng.choice(n, size=7, replace=False)
-    assembly = rank_order([datum(int(s), float(rng.uniform(0.01, 0.5))) for s in stations])
+    assembly = rank_order(stations, np.zeros(7), rng.uniform(0.01, 0.5, size=7))
     est = multi_analysis(StateEstimate(1, np.zeros(n), cov), assembly)
     assert np.trace(est.covariance) <= np.trace(cov) + 1e-12
 
@@ -366,7 +395,7 @@ def test_dlf_step_without_data_is_pure_forecast():
     model_cfg = ModelConfig(noise_var=0.08)
     est = StateEstimate(0, np.zeros(50), 0.02 * np.eye(50))
     reference = est
-    pool = []
+    pool = Pool.empty(0)
     for step in range(20):
         result = dlf_step(est, pool, [], grid, model_cfg, cfg)
         est, pool = result.estimate, result.pool
@@ -374,7 +403,7 @@ def test_dlf_step_without_data_is_pure_forecast():
         reference = forecast(reference, grid, model_cfg, speeds)
         np.testing.assert_array_equal(est.mean, reference.mean)
         np.testing.assert_array_equal(est.covariance, reference.covariance)
-        assert pool == []
+        assert len(pool) == 0 and pool.time_index == step + 1
         assert len(result.assembly) == 0
 
 
@@ -385,12 +414,14 @@ def test_dlf_step_fresh_beats_propagated_at_same_station():
     stale = live(value=5.0, position=0.0, variance=0.02, origin=0, current=0)
     fresh = [Observation(value=1.0, station=0, time_index=1, variance=0.02)]
     # the stale datum barely moves (speed 0.1 * dt 0.0396 << dx), so both land on station 0
-    result = dlf_step(est, [stale], fresh, grid, ModelConfig(noise_var=0.08), cfg)
-    winner = result.assembly.selection_trace[0]
-    assert winner.source.origin_time == 1
-    assert winner.value == 1.0
+    result = dlf_step(est, stale, fresh, grid, ModelConfig(noise_var=0.08), cfg)
+    assert result.assembly.informed_stations.tolist() == [0]
+    winner = result.assembly.selected[0]
+    assert result.pool.origin_time[winner] == 1
+    assert result.pool.value[winner] == 1.0
+    assert result.assembly.projected_values[0] == 1.0
     # stale datum stays in the pool even after losing the rank ordering
-    assert any(o.origin_time == 0 for o in result.pool)
+    assert np.any(result.pool.origin_time == 0)
 
 
 def test_dlf_step_pool_carries_data_between_acquisitions():
@@ -399,7 +430,7 @@ def test_dlf_step_pool_carries_data_between_acquisitions():
                       forcing_noise=0.01, pulse_center=1.25, init_var=0.02)
     net = build_network(grid, 1, 1, 0.02)
     est = StateEstimate(0, np.zeros(50), 0.02 * np.eye(50))
-    pool = []
+    pool = Pool.empty(0)
     rng = np.random.default_rng(14)
     saw_carried_winner = False
     for step in range(1, 41):
@@ -412,12 +443,10 @@ def test_dlf_step_pool_carries_data_between_acquisitions():
         est, pool = result.estimate, result.pool
         if step % 10 != 0 and step > 10:
             assert len(result.assembly) > 0
-            carried = [d for d in result.assembly.selection_trace.values()
-                       if d.source.origin_time < d.source.current_time]
-            saw_carried_winner = saw_carried_winner or bool(carried)
-        for obs in pool:
-            assert 0 <= obs.position < grid.domain_length
-            assert obs.current_time == step
+            winners = pool.origin_time[result.assembly.selected]
+            saw_carried_winner = saw_carried_winner or bool(np.any(winners < pool.time_index))
+        assert np.all((0 <= pool.position) & (pool.position < grid.domain_length))
+        assert pool.time_index == step
     assert saw_carried_winner
 
 
@@ -426,15 +455,123 @@ def test_dlf_step_rejects_misaligned_pool():
     est = StateEstimate(0, np.zeros(50), 0.02 * np.eye(50))
     stale = live(current=3, origin=2)
     with pytest.raises(ValueError):
-        dlf_step(est, [stale], [], grid, ModelConfig(), flow_cfg())
+        dlf_step(est, stale, [], grid, ModelConfig(), flow_cfg())
 
 
 def test_dlf_step_enforces_pool_cap():
     grid = grid_for()
     cfg = flow_cfg()
     est = StateEstimate(0, np.zeros(50), 10.0 * np.eye(50))
-    pool = [live(value=float(k), position=(k * 0.007) % 2.0, variance=0.02,
-                 origin=0, current=0) for k in range(250)]
+    pool = pool_of([float(k) for k in range(250)], [(k * 0.007) % 2.0 for k in range(250)],
+                   [0.02] * 250)
     result = dlf_step(est, pool, [], grid, ModelConfig(noise_var=0.08), cfg)
     assert len(result.pool) == 200  # 4x the station count, oldest evicted
-    assert all(o.value >= 50.0 for o in result.pool)
+    assert np.all(result.pool.value >= 50.0)
+
+
+# --- array pool equals a per-datum reference ----------------------------------------------
+
+def reference_pool_stages(entries, now, fresh, forecast_cov, grid, truth_cfg):
+    """Per-datum pool stages of one step: a plain loop over (value, position,
+    variance, origin) tuples with scalar arithmetic.
+
+    Returns the survivors, their stations, and per informed station the
+    survivor index of its winner.
+    """
+    t = (now - 1) * grid.dt
+    inflation = truth_cfg.forcing_noise ** 2 * grid.dt
+    advanced = []
+    for value, position, variance, origin in entries:
+        speed = float(mean_speed(truth_cfg, position, t))
+        new_position = float(grid.wrap(position + grid.dt * speed))
+        advanced.append((value, new_position, variance + inflation, origin))
+    for obs in fresh:
+        advanced.append((obs.value, obs.station * grid.dx, obs.variance, now))
+
+    survivors = []
+    for datum in advanced:
+        nearest = int(math.floor(datum[1] / grid.dx + 0.5)) % grid.n_points
+        if datum[2] <= forecast_cov[nearest, nearest]:
+            survivors.append(datum)
+    cap = POOL_CAP_FACTOR * grid.n_points
+    survivors = survivors[-cap:]
+
+    stations = [int(math.floor(d[1] / grid.dx + 1e-9)) % grid.n_points for d in survivors]
+    winners = {}
+    for index in sorted(range(len(survivors)), key=lambda i: survivors[i][2]):
+        winners.setdefault(stations[index], index)
+    return survivors, stations, winners
+
+
+SMALL_GRID = make_grid(2.0, 8, 1.0, 1.0, 50)  # dx = dt = 0.25: unit speed moves one node
+
+
+@st.composite
+def pool_positions(draw):
+    node = draw(st.integers(0, SMALL_GRID.n_points - 1)) * SMALL_GRID.dx
+    kind = draw(st.sampled_from(["node", "near-node", "seam", "anywhere"]))
+    if kind == "node":
+        return node
+    if kind == "near-node":
+        return float(SMALL_GRID.wrap(node + draw(st.floats(-1e-9, 1e-9))))
+    if kind == "seam":
+        return SMALL_GRID.domain_length - draw(st.floats(1e-12, 0.3))
+    return draw(st.floats(0.0, SMALL_GRID.domain_length, exclude_max=True))
+
+
+@st.composite
+def pool_steps(draw):
+    now = draw(st.integers(1, 30))
+    count = draw(st.integers(0, POOL_CAP_FACTOR * SMALL_GRID.n_points + 6))
+    # a few distinct variances make ties common, as fresh data at obs_var do
+    variance = st.one_of(st.sampled_from([0.02, 0.03, 0.05]), st.floats(0.01, 0.2))
+    entries = [(draw(st.floats(-2.0, 2.0)), draw(pool_positions()), draw(variance),
+                draw(st.integers(0, now - 1))) for _ in range(count)]
+    stations = draw(st.lists(st.integers(0, SMALL_GRID.n_points - 1), unique=True,
+                             max_size=SMALL_GRID.n_points))
+    fresh = [Observation(value=draw(st.floats(-2.0, 2.0)), station=s, time_index=now,
+                         variance=draw(st.sampled_from([0.02, 0.03])))
+             for s in stations]
+    drift = draw(st.sampled_from(["unit", "slow", "ou"]))
+    if drift == "ou":
+        truth_cfg = TruthConfig(drift=Drift.OU, relax_rate=0.3, forcing_noise=0.1)
+    else:
+        truth_cfg = TruthConfig(drift=Drift.ACCELERATING,
+                                base_speed=1.0 if drift == "unit" else 0.37,
+                                forcing_noise=draw(st.sampled_from([0.0, 0.1])))
+    # a tight forecast sheds data; a loose one lets the pool reach its cap
+    high = draw(st.sampled_from([0.1, 1.0]))
+    forecast_var = draw(st.lists(st.floats(0.0, high), min_size=SMALL_GRID.n_points,
+                                 max_size=SMALL_GRID.n_points))
+    return now, entries, fresh, truth_cfg, forecast_var
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool_steps())
+def test_array_pool_stages_equal_per_datum_reference(case):
+    now, entries, fresh, truth_cfg, forecast_var = case
+    grid = SMALL_GRID
+    columns = list(zip(*entries)) or [()] * 4
+    pool = pool_of(*columns, time_index=now - 1)
+    prev = StateEstimate(now - 1, np.zeros(grid.n_points), np.diag(forecast_var))
+    model_cfg = ModelConfig(noise_var=0.01)
+    result = dlf_step(prev, pool, fresh, grid, model_cfg, truth_cfg)
+
+    speeds = np.asarray(mean_speed(truth_cfg, grid.positions, (now - 1) * grid.dt), dtype=float)
+    forecast_cov = forecast(prev, grid, model_cfg, speeds).covariance
+    survivors, stations, winners = reference_pool_stages(entries, now, fresh, forecast_cov,
+                                                         grid, truth_cfg)
+
+    assert result.pool.time_index == now
+    assert result.pool.value.tolist() == [d[0] for d in survivors]
+    assert result.pool.position.tolist() == [d[1] for d in survivors]
+    assert result.pool.variance.tolist() == [d[2] for d in survivors]
+    assert result.pool.origin_time.tolist() == [d[3] for d in survivors]
+    assert project(result.pool, grid).tolist() == stations
+    assembly = result.assembly
+    assert assembly.informed_stations.tolist() == sorted(winners)
+    assert assembly.selected.tolist() == [winners[s] for s in sorted(winners)]
+    assert assembly.projected_values.tolist() == [survivors[winners[s]][0]
+                                                  for s in sorted(winners)]
+    assert assembly.projected_variances.tolist() == [survivors[winners[s]][2]
+                                                     for s in sorted(winners)]

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +136,17 @@ def test_pool_trace_collection():
     steps = {row[0] for row in result.pool_trace}
     assert min(steps) >= 1 and max(steps) <= result.grid.n_steps
     assert any(row[4] == 1 for row in result.pool_trace)
+    # per step, every station the pool reaches has exactly one selected datum,
+    # and it carries that station's least variance
+    grid = result.grid
+    groups = {}
+    for step, _, position, variance, selected in result.pool_trace:
+        assert selected in (0, 1)
+        station = math.floor(position / grid.dx + 1e-9) % grid.n_points
+        groups.setdefault((step, station), []).append((variance, selected))
+    for rows in groups.values():
+        assert sum(selected for _, selected in rows) == 1
+        assert min(rows)[0] == next(variance for variance, selected in rows if selected)
 
 
 # --- sweeps ------------------------------------------------------------------------

@@ -111,14 +111,6 @@ def test_model_step_noise_variance_scale():
     assert abs(observed - 0.08) < 3 * 0.08 * np.sqrt(2 / draws.size)
 
 
-def test_model_step_forcing_term():
-    grid = unit_grid()
-    state = np.zeros(grid.n_points)
-    cfg = ModelConfig(noise_var=0.0, forcing=lambda t: np.full(grid.n_points, 2.0 + t))
-    out = model_step(state, grid, cfg, np.zeros(grid.n_points), NoiseSource(0), time=1.0)
-    np.testing.assert_allclose(out, grid.dt * 3.0, rtol=0, atol=1e-15)
-
-
 def test_model_config_rejects_negative_variance():
     with pytest.raises(ValueError):
         ModelConfig(noise_var=-0.1)
