@@ -10,13 +10,12 @@ __version__ = "0.1.0"
 from .core import GridSpec, NoiseSource, StateEstimate, gaussian_vector, make_grid
 from .truth import (Drift, TruthConfig, TruthField, generate_truth, initial_pulse,
                     mean_speed, pulse_profile, step_characteristic_exact)
-from .model import ModelConfig, lax_friedrichs_matrix, model_step
+from .model import ModelConfig, lax_friedrichs_matrix, lax_friedrichs_weights, model_step
 from .obsnet import (Observation, ObsNetwork, build_network, observation_matrix,
                      observations_by_step, sample_observations)
-from .kalman import FilterError, KalmanGain, analysis, forecast, joseph_covariance, kalman_gain
-from .dlf import (DlfStepResult, LikelihoodAssembly, Pool, dlf_step, multi_analysis,
-                  multi_gain, project, propagate_observation, propagate_variance, rank_order,
-                  viability_filter)
+from .kalman import FilterError, analysis, condition, forecast, gain_columns
+from .dlf import (DlfStepResult, LikelihoodAssembly, Pool, dlf_step, multi_analysis, project,
+                  propagate_observation, propagate_variance, rank_order, viability_filter)
 from .harness import (MetricTable, RunResult, ScenarioConfig, center_of_mass,
                       circular_distance, default_config, load_config, run_scenario,
                       summarize_run, sweep, write_outputs)
@@ -25,13 +24,12 @@ __all__ = [
     "GridSpec", "NoiseSource", "StateEstimate", "gaussian_vector", "make_grid",
     "Drift", "TruthConfig", "TruthField", "generate_truth", "initial_pulse",
     "mean_speed", "pulse_profile", "step_characteristic_exact",
-    "ModelConfig", "lax_friedrichs_matrix", "model_step",
+    "ModelConfig", "lax_friedrichs_matrix", "lax_friedrichs_weights", "model_step",
     "Observation", "ObsNetwork", "build_network", "observation_matrix",
     "observations_by_step", "sample_observations",
-    "FilterError", "KalmanGain", "analysis", "forecast", "joseph_covariance", "kalman_gain",
-    "DlfStepResult", "LikelihoodAssembly", "Pool", "dlf_step", "multi_analysis",
-    "multi_gain", "project", "propagate_observation", "propagate_variance", "rank_order",
-    "viability_filter",
+    "FilterError", "analysis", "condition", "forecast", "gain_columns",
+    "DlfStepResult", "LikelihoodAssembly", "Pool", "dlf_step", "multi_analysis", "project",
+    "propagate_observation", "propagate_variance", "rank_order", "viability_filter",
     "MetricTable", "RunResult", "ScenarioConfig", "center_of_mass", "circular_distance",
     "default_config", "load_config", "run_scenario", "summarize_run", "sweep",
     "write_outputs",

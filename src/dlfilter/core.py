@@ -52,7 +52,14 @@ class GridSpec:
 
     def wrap(self, x):
         """Map positions periodically into [0, domain_length)."""
-        return np.mod(x, self.domain_length)
+        # np.mod rounds a tiny negative x up to domain_length itself; the
+        # second mod maps that to 0 and leaves every other result unchanged.
+        return np.mod(np.mod(x, self.domain_length), self.domain_length)
+
+
+def _scale(cov: np.ndarray) -> float:
+    """Magnitude the covariance tolerances are relative to (at least 1)."""
+    return max(1.0, float(np.abs(cov).max()) if cov.size else 1.0)
 
 
 @dataclass(frozen=True)
@@ -73,10 +80,13 @@ class StateEstimate:
         n = mean.shape[0]
         if mean.ndim != 1 or cov.shape != (n, n):
             raise ValueError(f"mean/covariance shapes inconsistent: {mean.shape} vs {cov.shape}")
-        scale = max(1.0, float(np.abs(cov).max()) if cov.size else 1.0)
-        if float(np.abs(cov - cov.T).max()) > SYMMETRY_RTOL * scale:
-            raise ValueError("covariance is not symmetric within tolerance")
-        if float(np.diag(cov).min()) < -SYMMETRY_RTOL * scale:
+        # The filters build exactly symmetric covariances, which skip the
+        # tolerance scan; the scale is computed only when a test needs it.
+        if not np.array_equal(cov, cov.T):
+            if float(np.abs(cov - cov.T).max()) > SYMMETRY_RTOL * _scale(cov):
+                raise ValueError("covariance is not symmetric within tolerance")
+        low = float(np.diag(cov).min())
+        if low < 0 and low < -SYMMETRY_RTOL * _scale(cov):
             raise ValueError("covariance has a negative diagonal entry")
 
     @property

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .core import GridSpec, StateEstimate
-from .kalman import FilterError, forecast
+from .kalman import condition, forecast
 from .model import ModelConfig
 from .obsnet import Observation
 from .truth import TruthConfig, mean_speed
@@ -29,7 +28,6 @@ __all__ = [
     "viability_filter",
     "project",
     "rank_order",
-    "multi_gain",
     "multi_analysis",
     "dlf_step",
     "POOL_CAP_FACTOR",
@@ -165,41 +163,18 @@ def rank_order(stations: np.ndarray, values: np.ndarray,
                               selected=selected)
 
 
-def multi_gain(forecast_cov: np.ndarray, assembly: LikelihoodAssembly) -> np.ndarray:
-    """Gain of the multi-analysis, restricted to the informed stations.
-
-    On the informed subspace S the data reads the state directly, so the
-    gain columns are P[:, S] (P[S, S] + diag(variances))^(-1); columns of
-    uninformed stations are zero, the infinite-variance limit.
-    """
-    if len(assembly) == 0:
-        raise ValueError("multi_gain needs a nonempty assembly")
-    idx = assembly.informed_stations
-    restricted = forecast_cov[np.ix_(idx, idx)] + np.diag(assembly.projected_variances)
-    try:
-        columns = scipy.linalg.solve(restricted, forecast_cov[:, idx].T, assume_a="pos").T
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise FilterError("singular restricted system in the multi-gain") from exc
-    gain = np.zeros((forecast_cov.shape[0],) * 2)
-    gain[:, idx] = columns
-    return gain
-
-
 def multi_analysis(forecast_est: StateEstimate, assembly: LikelihoodAssembly) -> StateEstimate:
     """Condition the forecast on the assembled per-station data.
 
-    The innovation lives only on informed stations; an empty assembly leaves
-    the forecast untouched. Covariance update: (I - gain) P, re-symmetrized.
+    Each informed station is read directly at its winning datum's variance;
+    uninformed stations carry no reading (the infinite-variance limit). An
+    empty assembly leaves the forecast untouched.
     """
     if len(assembly) == 0:
         return forecast_est
-    gain = multi_gain(forecast_est.covariance, assembly)
-    idx = assembly.informed_stations
-    innovation = np.zeros_like(forecast_est.mean)
-    innovation[idx] = assembly.projected_values - forecast_est.mean[idx]
-    mean = forecast_est.mean + gain @ innovation
-    cov = (np.eye(mean.shape[0]) - gain) @ forecast_est.covariance
-    cov = 0.5 * (cov + cov.T)
+    mean, cov = condition(forecast_est.mean, forecast_est.covariance,
+                          assembly.informed_stations, assembly.projected_values,
+                          assembly.projected_variances, time_index=forecast_est.time_index)
     return StateEstimate(time_index=forecast_est.time_index, mean=mean, covariance=cov)
 
 

@@ -152,21 +152,25 @@ class RunResult:
     pool_trace: list[tuple] | None = None
 
 
-def center_of_mass(field_values: np.ndarray, grid: GridSpec) -> float:
-    """First circular moment of the positive part of the field.
+def center_of_mass(field_values: np.ndarray, grid: GridSpec):
+    """First circular moment of the positive part of the field, per row.
 
-    Working on the circle avoids seam artifacts when the pulse straddles the
-    periodic boundary. Negative values only drop out of the weights; callers
-    keep their raw fields.
+    ``field_values`` has stations on its last axis; the result has one
+    center per row (a scalar for a single field). Working on the circle
+    avoids seam artifacts when the pulse straddles the periodic boundary.
+    Negative values only drop out of the weights; callers keep their raw
+    fields.
     """
     weights = np.maximum(np.asarray(field_values, dtype=float), 0.0)
-    total = weights.sum()
-    if total <= 0:
+    if np.any(weights.sum(axis=-1) <= 0):
         raise ValueError("center of mass undefined: field has no positive part")
     theta = 2.0 * math.pi * grid.positions / grid.domain_length
-    angle = math.atan2(float(np.sum(weights * np.sin(theta))),
-                       float(np.sum(weights * np.cos(theta))))
-    return (grid.domain_length / (2.0 * math.pi) * angle) % grid.domain_length
+    sines = np.sum(weights * np.sin(theta), axis=-1)
+    cosines = np.sum(weights * np.cos(theta), axis=-1)
+    # math.atan2 (libm) per row: numpy's SIMD arctan2 can differ in the last bit.
+    angle = np.reshape([math.atan2(s, c) for s, c in
+                        zip(sines.ravel().tolist(), cosines.ravel().tolist())], sines.shape)
+    return np.mod(grid.domain_length / (2.0 * math.pi) * angle, grid.domain_length)
 
 
 def circular_distance(a: float, b: float, length: float) -> float:
@@ -235,10 +239,10 @@ def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False) -> RunRe
 
 def _compute_metrics(grid, truth, model_only, kf_states, dlf_states) -> MetricTable:
     rows = grid.n_steps + 1
-    com_truth = np.array([center_of_mass(truth.values[n], grid) for n in range(rows)])
-    com_model = np.array([center_of_mass(model_only[n], grid) for n in range(rows)])
-    com_kf = np.array([center_of_mass(kf_states[n].mean, grid) for n in range(rows)])
-    com_dlf = np.array([center_of_mass(dlf_states[n].mean, grid) for n in range(rows)])
+    kf_means = np.array([s.mean for s in kf_states])
+    dlf_means = np.array([s.mean for s in dlf_states])
+    com_truth, com_model, com_kf, com_dlf = (
+        center_of_mass(values, grid) for values in (truth.values, model_only, kf_means, dlf_means))
     return MetricTable(
         com_truth=com_truth, com_model=com_model, com_kf=com_kf, com_dlf=com_dlf,
         trace_kf=np.array([s.trace for s in kf_states]),

@@ -1,82 +1,120 @@
-"""Classical Kalman filter: forecast through the advection model, then analysis."""
+"""Classical Kalman filter: forecast through the advection model, then analysis.
+
+Both filters share the conditioning kernel :func:`condition`; the dynamic
+likelihood filter calls it from ``dlf.multi_analysis``.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .core import GridSpec, StateEstimate
-from .model import ModelConfig, lax_friedrichs_matrix
+from .model import ModelConfig, lax_friedrichs_matrix, lax_friedrichs_weights
 from .obsnet import Observation
 
-__all__ = [
-    "FilterError",
-    "KalmanGain",
-    "forecast_step",
-    "forecast",
-    "kalman_gain",
-    "analysis",
-    "joseph_covariance",
-]
+__all__ = ["FilterError", "forecast", "analysis", "condition", "gain_columns"]
 
 
 class FilterError(RuntimeError):
     """Raised when a filter update cannot be performed (singular system, bad inputs)."""
 
 
-@dataclass(frozen=True)
-class KalmanGain:
-    gain: np.ndarray  # (n_state, n_obs)
+def _apply_transition(right: np.ndarray, left: np.ndarray, x: np.ndarray,
+                      out: np.ndarray, work: np.ndarray) -> None:
+    """out = T @ x for the two-diagonal Lax-Friedrichs T, along the first axis of x.
 
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.gain)):
-            raise FilterError("Kalman gain contains non-finite entries")
-
-
-def forecast_step(mean: np.ndarray, cov: np.ndarray, transition: np.ndarray,
-                  noise_var: float):
-    """Propagate mean and covariance through one linear step.
-
-    Returns the forecast pair (transition @ mean,
-    transition @ cov @ transition.T + noise_var * I), covariance symmetrized.
+    Row l of T takes ``right[l]`` of row l+1 and ``left[l]`` of row l-1 (mod N).
+    ``work`` has the shape of ``out`` and is overwritten.
     """
-    new_mean = transition @ mean
-    new_cov = transition @ cov @ transition.T
-    new_cov = 0.5 * (new_cov + new_cov.T)
-    if noise_var:
-        new_cov = new_cov + noise_var * np.eye(mean.shape[0])
-    return new_mean, new_cov
+    np.multiply(right[:-1, None], x[1:], out=out[:-1])
+    np.multiply(right[-1], x[0], out=out[-1])
+    np.multiply(left[1:, None], x[:-1], out=work[1:])
+    np.multiply(left[0], x[-1], out=work[0])
+    out += work
 
 
 def forecast(prev: StateEstimate, grid: GridSpec, model_cfg: ModelConfig,
              speeds: np.ndarray) -> StateEstimate:
-    """One forecast step of the filter through the Lax-Friedrichs model."""
-    transition = lax_friedrichs_matrix(grid, speeds)
-    mean, cov = forecast_step(prev.mean, prev.covariance, transition, model_cfg.noise_var)
+    """One forecast step of the filter through the Lax-Friedrichs model.
+
+    Returns (T m, T P T^T + noise_var * I), the covariance symmetrized. The
+    mean is the model's own advection product, as in ``model_step``. T has
+    two diagonals, so T P T^T costs O(N^2): T is applied to the rows of P,
+    then to the columns of the result.
+    """
+    mean = lax_friedrichs_matrix(grid, speeds) @ prev.mean
+    right, left = lax_friedrichs_weights(grid, speeds)
+    # The returned covariance is allocated before the work buffers: a
+    # long-lived array placed among short-lived ones fragments the heap, and
+    # a run keeps one covariance per step.
+    cov = np.empty_like(prev.covariance)
+    rows = np.empty_like(cov)
+    work = np.empty_like(cov)
+    _apply_transition(right, left, prev.covariance, rows, work)
+    _apply_transition(right, left, rows.T, cov.T, work.T)
+    np.add(cov, cov.T, out=rows)
+    np.multiply(rows, 0.5, out=cov)
+    cov.flat[::cov.shape[0] + 1] += model_cfg.noise_var  # the diagonal
     return StateEstimate(time_index=prev.time_index + 1, mean=mean, covariance=cov)
 
 
-def kalman_gain(forecast_cov: np.ndarray, obs_matrix: np.ndarray, obs_var: float,
-                time_index: int | None = None) -> KalmanGain:
-    """Gain K = P H^T (H P H^T + R)^(-1) via a symmetric K x K solve."""
-    hp = obs_matrix @ forecast_cov
-    innovation_cov = hp @ obs_matrix.T + obs_var * np.eye(obs_matrix.shape[0])
+def _whiten(cov: np.ndarray, stations: np.ndarray, variances,
+            time_index: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factor L of P[S, S] + diag(r), and W = L^-1 P[S, :]."""
+    if stations.size == 0:
+        raise ValueError("conditioning needs at least one reading")
+    restricted = cov[np.ix_(stations, stations)]
+    restricted.flat[::stations.size + 1] += variances  # the diagonal
     try:
-        gain = scipy.linalg.solve(innovation_cov, hp, assume_a="pos").T
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        factor = scipy.linalg.cholesky(restricted, lower=True, overwrite_a=True)
+    except np.linalg.LinAlgError as exc:
         where = "" if time_index is None else f" at time index {time_index}"
-        raise FilterError(f"singular innovation covariance{where}") from exc
-    return KalmanGain(gain=gain)
+        raise FilterError(f"innovation covariance not positive definite{where}") from exc
+    return factor, scipy.linalg.solve_triangular(factor, cov[stations], lower=True)
+
+
+def condition(mean: np.ndarray, cov: np.ndarray, stations, values, variances,
+              time_index: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Condition N(mean, cov) on independent direct readings of some stations.
+
+    Reading k is ``values[k]`` of station ``stations[k]`` with noise variance
+    ``variances[k]`` (or one scalar for all). With L the Cholesky factor of
+    P[S, S] + diag(r) and W = L^-1 P[S, :], the posterior is
+
+        mean + W^T L^-1 (y - mean[S]),   P - W^T W,
+
+    in O(N^2 k). ``W.T @ W`` is a symmetric rank-k product, so the posterior
+    covariance is exactly symmetric whenever P is (factorized update, after
+    Bierman 1977). ``time_index`` only labels a failed factorization.
+    """
+    post_cov = np.empty_like(cov)  # allocated first, as in forecast
+    stations = np.asarray(stations, dtype=np.int64)
+    factor, weights = _whiten(cov, stations, variances, time_index)
+    innovation = np.asarray(values, dtype=float) - mean[stations]
+    post_mean = mean + weights.T @ scipy.linalg.solve_triangular(factor, innovation, lower=True)
+    np.matmul(weights.T, weights, out=post_cov)
+    np.subtract(cov, post_cov, out=post_cov)
+    return post_mean, post_cov
+
+
+def gain_columns(cov: np.ndarray, stations, variances) -> np.ndarray:
+    """Gain columns P[:, S] (P[S, S] + diag(r))^-1 = W^T L^-1 of :func:`condition`.
+
+    Shape (n_state, k): the nonzero columns of the Kalman gain, for scoring.
+    """
+    factor, weights = _whiten(cov, np.asarray(stations, dtype=np.int64), variances, None)
+    return scipy.linalg.solve_triangular(factor, weights, lower=True, trans="T").T
 
 
 def analysis(forecast_est: StateEstimate, obs_block: list[Observation],
              obs_matrix: np.ndarray, obs_var: float) -> StateEstimate:
     """Condition the forecast on a block of same-time observations.
 
-    An empty block returns the forecast unchanged. The posterior covariance
-    uses (I - K H) P, re-symmetrized.
+    ``obs_matrix`` must be exactly the 0/1 selector H whose rows pick the
+    observed stations, one per observation in block order; any other matrix
+    raises. The update itself runs through :func:`condition`. An empty block
+    returns the forecast unchanged.
     """
     if not obs_block:
         return forecast_est
@@ -84,29 +122,18 @@ def analysis(forecast_est: StateEstimate, obs_block: list[Observation],
     if times != {forecast_est.time_index}:
         raise ValueError(f"observations at {sorted(times)} do not match forecast step "
                          f"{forecast_est.time_index}")
-    if len(obs_block) != obs_matrix.shape[0]:
+    n_state = forecast_est.mean.shape[0]
+    if obs_matrix.shape != (len(obs_block), n_state):
         raise ValueError("observation block size does not match the observation matrix")
-    rows = np.argmax(obs_matrix, axis=1)
     stations = np.array([obs.station for obs in obs_block])
-    if not np.array_equal(rows, stations):
-        raise ValueError("observation stations do not line up with the observation matrix rows")
+    if stations.min() < 0 or stations.max() >= n_state:
+        raise ValueError("observation station outside the grid")
+    selector = np.zeros_like(obs_matrix, dtype=float)
+    selector[np.arange(stations.size), stations] = 1.0
+    if not np.array_equal(obs_matrix, selector):
+        raise ValueError("observation matrix is not the selector of the block's stations")
 
-    gain = kalman_gain(forecast_est.covariance, obs_matrix, obs_var,
-                       time_index=forecast_est.time_index).gain
     values = np.array([obs.value for obs in obs_block])
-    mean = forecast_est.mean + gain @ (values - obs_matrix @ forecast_est.mean)
-    cov = (np.eye(forecast_est.mean.shape[0]) - gain @ obs_matrix) @ forecast_est.covariance
-    cov = 0.5 * (cov + cov.T)
+    mean, cov = condition(forecast_est.mean, forecast_est.covariance, stations, values,
+                          obs_var, time_index=forecast_est.time_index)
     return StateEstimate(time_index=forecast_est.time_index, mean=mean, covariance=cov)
-
-
-def joseph_covariance(forecast_cov: np.ndarray, gain: np.ndarray, obs_matrix: np.ndarray,
-                      obs_var: float) -> np.ndarray:
-    """Posterior covariance in the numerically robust Joseph form.
-
-    Valid for any gain, optimal or not, which also makes it the scoring
-    function for gain-optimality checks.
-    """
-    n = forecast_cov.shape[0]
-    shrink = np.eye(n) - gain @ obs_matrix
-    return shrink @ forecast_cov @ shrink.T + obs_var * gain @ gain.T

@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import GridSpec, NoiseSource, gaussian_vector
 
-__all__ = ["ModelConfig", "lax_friedrichs_matrix", "model_step"]
+__all__ = ["ModelConfig", "lax_friedrichs_weights", "lax_friedrichs_matrix", "model_step"]
 
 # Slack on the |lambda| <= 1 stability bound to absorb rounding in dt/dx.
 _CFL_SLACK = 1e-12
@@ -30,12 +30,13 @@ class ModelConfig:
             raise ValueError("noise_var must be nonnegative")
 
 
-def lax_friedrichs_matrix(grid: GridSpec, speeds: np.ndarray) -> np.ndarray:
-    """Periodic Lax-Friedrichs one-step transition matrix.
+def lax_friedrichs_weights(grid: GridSpec, speeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two diagonals of the periodic Lax-Friedrichs step, in O(N).
 
-    Row ``l`` holds (1 - lam_l)/2 at column l+1 and (1 + lam_l)/2 at column
-    l-1 (mod N), with lam_l = dt/dx * speeds[l]. Rows sum to 1; positive
-    speeds translate the field toward increasing station index.
+    Returns ``(right, left)``: row ``l`` of the transition takes
+    right[l] = (1 - lam_l)/2 of station l+1 and left[l] = (1 + lam_l)/2 of
+    station l-1 (mod N), with lam_l = dt/dx * speeds[l]. Raises if the CFL
+    bound |lam| <= 1 fails anywhere.
     """
     speeds = np.asarray(speeds, dtype=float)
     if speeds.shape != (grid.n_points,):
@@ -44,11 +45,22 @@ def lax_friedrichs_matrix(grid: GridSpec, speeds: np.ndarray) -> np.ndarray:
     worst = float(np.abs(lam).max())
     if worst > 1.0 + _CFL_SLACK:
         raise ValueError(f"CFL violated: max |dt/dx * c| = {worst:.6g} > 1")
+    return 0.5 * (1.0 - lam), 0.5 * (1.0 + lam)
+
+
+def lax_friedrichs_matrix(grid: GridSpec, speeds: np.ndarray) -> np.ndarray:
+    """Periodic Lax-Friedrichs one-step transition matrix, dense.
+
+    Row ``l`` holds the weights of :func:`lax_friedrichs_weights` at columns
+    l+1 and l-1 (mod N). Rows sum to 1; positive speeds translate the field
+    toward increasing station index.
+    """
+    right, left = lax_friedrichs_weights(grid, speeds)
     n = grid.n_points
     rows = np.arange(n)
     matrix = np.zeros((n, n))
-    np.add.at(matrix, (rows, (rows + 1) % n), 0.5 * (1.0 - lam))
-    np.add.at(matrix, (rows, (rows - 1) % n), 0.5 * (1.0 + lam))
+    np.add.at(matrix, (rows, (rows + 1) % n), right)
+    np.add.at(matrix, (rows, (rows - 1) % n), left)
     return matrix
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dlfilter.core import NoiseSource, StateEstimate, gaussian_vector, make_grid
+from dlfilter.core import (SYMMETRY_RTOL, NoiseSource, StateEstimate, gaussian_vector,
+                           make_grid)
 from dlfilter.truth import Drift, TruthConfig, mean_speed
 
 
@@ -44,6 +45,17 @@ def test_grid_wrap_periodic():
     assert grid.wrap(2.0) == 0.0
     assert grid.wrap(-0.05) == pytest.approx(1.95)
     assert grid.wrap(2.05) == pytest.approx(0.05)
+
+
+def test_grid_wrap_maps_the_seam_into_range():
+    grid = make_grid(2.0, 50, 0.99, 1.0, 10)
+    below = np.nextafter(2.0, 0.0)
+    assert grid.wrap(-1e-17) == 0.0
+    assert grid.wrap(0.0) == 0.0
+    assert grid.wrap(below) == below
+    wrapped = grid.wrap(np.array([-1e-17, 0.0, below, -1e-300, 4.0 - 1e-16]))
+    assert np.all((wrapped >= 0.0) & (wrapped < 2.0))
+    np.testing.assert_array_equal(wrapped[:3], [0.0, 0.0, below])
 
 
 def test_gaussian_vector_zero_stddev_is_zero():
@@ -96,3 +108,44 @@ def test_state_estimate_validates_diagonal():
 def test_state_estimate_accepts_zero_covariance():
     est = StateEstimate(0, np.ones(3), np.zeros((3, 3)))
     assert est.trace == 0.0
+
+
+def full_scan_verdict(cov):
+    """The covariance check as a full scan: True when the matrix is accepted."""
+    scale = max(1.0, float(np.abs(cov).max()) if cov.size else 1.0)
+    with np.errstate(invalid="ignore"):  # inf - inf in the symmetry residual
+        if float(np.abs(cov - cov.T).max()) > SYMMETRY_RTOL * scale:
+            return False
+    return not float(np.diag(cov).min()) < -SYMMETRY_RTOL * scale
+
+
+def test_state_estimate_check_keeps_the_full_scan_verdicts():
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((5, 5))
+    base = 10.0 * (a @ a.T)
+    scale = float(np.abs(base).max())
+    cases = [base, np.zeros((5, 5)), np.eye(5)]
+    for factor in (0.5, 0.99, 1.01, 2.0):
+        bumped = base.copy()
+        bumped[1, 3] += factor * SYMMETRY_RTOL * scale
+        cases.append(bumped)
+        negative = base.copy()
+        np.fill_diagonal(negative, 0.0)
+        negative[2, 2] = -factor * SYMMETRY_RTOL * max(1.0, float(np.abs(negative).max()))
+        cases.append(negative)
+    for where in ((0, 4), (2, 2)):
+        for bad in (np.nan, np.inf, -np.inf):
+            odd = base.copy()
+            odd[where] = bad
+            cases.append(odd)
+    verdicts = []
+    for cov in cases:
+        try:
+            StateEstimate(0, np.zeros(5), cov)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == full_scan_verdict(cov)
+        verdicts.append(accepted)
+    # the cases straddle both tolerances, so both verdicts occur
+    assert True in verdicts and False in verdicts

@@ -60,6 +60,47 @@ def test_center_of_mass_rejects_nonpositive_fields():
         center_of_mass(-np.ones(50), grid)
 
 
+def center_of_mass_one_field(field_values, grid):
+    """Reference: one field at a time, reduced to Python floats."""
+    weights = np.maximum(np.asarray(field_values, dtype=float), 0.0)
+    theta = 2.0 * math.pi * grid.positions / grid.domain_length
+    angle = math.atan2(float(np.sum(weights * np.sin(theta))),
+                       float(np.sum(weights * np.cos(theta))))
+    return (grid.domain_length / (2.0 * math.pi) * angle) % grid.domain_length
+
+
+def test_center_of_mass_of_rows_equals_one_field_at_a_time():
+    result = run_scenario(small_cfg())
+    grid = result.grid
+    fields = np.concatenate([result.truth.values, result.model_only,
+                             [s.mean for s in result.kf], [s.mean for s in result.dlf]])
+    expected = [center_of_mass_one_field(row, grid) for row in fields]
+    np.testing.assert_array_equal(center_of_mass(fields, grid), expected)
+    np.testing.assert_array_equal(result.metrics.com_dlf,
+                                  expected[-(grid.n_steps + 1):])
+    assert center_of_mass(fields[0], grid) == expected[0]
+
+
+def test_center_of_mass_rejects_a_row_without_positive_part():
+    grid = make_grid(2.0, 50, 0.99, 1.0, 10)
+    fields = np.stack([pulse_profile(grid, 1.0), -np.ones(50)])
+    with pytest.raises(ValueError):
+        center_of_mass(fields, grid)
+
+
+def test_long_run_covariances_are_exactly_symmetric_and_positive_definite():
+    # 2000 steps of the sparse OU cell: between reads the forecast inflates the
+    # covariance, at reads both analyses shrink it; neither may drift.
+    result = run_scenario(default_config("ou", n_steps=2000, space_freq=Fraction(1, 5),
+                                         time_freq=Fraction(1, 10)))
+    for states in (result.kf, result.dlf):
+        assert len(states) == 2001
+        for state in states:
+            cov = state.covariance
+            assert np.array_equal(cov, cov.T)
+            np.linalg.cholesky(cov)
+
+
 def test_center_of_mass_clips_negative_weights_only():
     grid = make_grid(2.0, 50, 0.99, 1.0, 10)
     field = pulse_profile(grid, 1.25)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dlfilter.core import StateEstimate, make_grid
-from dlfilter.kalman import (FilterError, analysis, forecast, forecast_step,
-                             joseph_covariance, kalman_gain)
-from dlfilter.model import ModelConfig
+from dlfilter.checks import condition_on_stations
+from dlfilter.core import NoiseSource, StateEstimate, make_grid
+from dlfilter.kalman import FilterError, analysis, condition, forecast, gain_columns
+from dlfilter.model import ModelConfig, model_step
 from dlfilter.obsnet import Observation
 
 
@@ -36,36 +37,75 @@ def obs_block(values, stations, time_index, variance):
             for v, s in zip(values, stations)]
 
 
+# --- dense oracles ---------------------------------------------------------------
+
+def dense_forecast(mean, cov, transition, noise_var):
+    """(T m, T P T^T + noise_var I), symmetrized: the dense N^3 forecast."""
+    new_cov = transition @ cov @ transition.T
+    new_cov = 0.5 * (new_cov + new_cov.T) + noise_var * np.eye(mean.shape[0])
+    return transition @ mean, new_cov
+
+
+def dense_lax_friedrichs(lam):
+    """Lax-Friedrichs transition built entry by entry from lambda."""
+    n = lam.shape[0]
+    dense = np.zeros((n, n))
+    for row in range(n):
+        dense[row, (row + 1) % n] += 0.5 * (1 - lam[row])
+        dense[row, (row - 1) % n] += 0.5 * (1 + lam[row])
+    return dense
+
+
+def joseph_covariance(cov, gain, h, obs_var):
+    """Posterior covariance in Joseph form, valid for any gain, optimal or not."""
+    shrink = np.eye(cov.shape[0]) - gain @ h
+    return shrink @ cov @ shrink.T + obs_var * gain @ gain.T
+
+
+def unit_grid(n_points):
+    # cfl = 1 with unit speed makes dt/dx exactly 1, so lambda equals the speed
+    return make_grid(2.0, n_points, 1.0, 1.0, 10)
+
+
 # --- forecast ------------------------------------------------------------------
 
-def test_forecast_identity_transition_no_noise_is_fixed_point():
+def test_forecast_unit_cfl_round_trip_is_a_fixed_point():
+    # lambda = 1 moves every station one step right; N steps come back exactly
     rng = np.random.default_rng(0)
-    mean = rng.standard_normal(6)
-    cov = random_spd(rng, 6)
-    new_mean, new_cov = forecast_step(mean, cov, np.eye(6), 0.0)
-    np.testing.assert_array_equal(new_mean, mean)
-    np.testing.assert_allclose(new_cov, cov, rtol=0, atol=1e-16)
+    n = 6
+    start = StateEstimate(0, rng.standard_normal(n), random_spd(rng, n))
+    est = start
+    for _ in range(n):
+        est = forecast(est, unit_grid(n), ModelConfig(noise_var=0.0), np.ones(n))
+    np.testing.assert_array_equal(est.mean, start.mean)
+    np.testing.assert_array_equal(est.covariance, start.covariance)
 
 
-def test_forecast_identity_transition_inflates_diagonal_by_noise_var():
+def test_forecast_inflates_diagonal_by_noise_var():
     rng = np.random.default_rng(1)
-    cov = random_spd(rng, 8)
-    _, new_cov = forecast_step(np.zeros(8), cov, np.eye(8), 0.08)
-    np.testing.assert_allclose(np.diag(new_cov), np.diag(cov) + 0.08, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(new_cov - np.diag(np.diag(new_cov)),
-                               cov - np.diag(np.diag(cov)), rtol=0, atol=1e-16)
+    n = 8
+    cov = random_spd(rng, n)
+    quiet = forecast(StateEstimate(0, np.zeros(n), cov), unit_grid(n),
+                     ModelConfig(noise_var=0.0), np.ones(n)).covariance
+    noisy = forecast(StateEstimate(0, np.zeros(n), cov), unit_grid(n),
+                     ModelConfig(noise_var=0.08), np.ones(n)).covariance
+    np.testing.assert_allclose(np.diag(noisy), np.diag(quiet) + 0.08, rtol=0, atol=1e-15)
+    off = ~np.eye(n, dtype=bool)
+    np.testing.assert_array_equal(noisy[off], quiet[off])
 
 
-def test_forecast_shift_transition_permutes_covariance():
+def test_forecast_unit_cfl_permutes_covariance():
     rng = np.random.default_rng(2)
     n = 10
     cov = random_spd(rng, n)
-    shift = np.roll(np.eye(n), -1, axis=1)
-    _, new_cov = forecast_step(np.zeros(n), cov, shift, 0.0)
+    mean = rng.standard_normal(n)
+    est = forecast(StateEstimate(0, mean, cov), unit_grid(n), ModelConfig(noise_var=0.0),
+                   np.ones(n))
     # permutation similarity: rows/columns cycle together, trace is preserved
-    oracle = cov[np.ix_((np.arange(n) - 1) % n, (np.arange(n) - 1) % n)]
-    np.testing.assert_allclose(new_cov, oracle, rtol=0, atol=1e-15)
-    assert np.trace(new_cov) == pytest.approx(np.trace(cov))
+    back = (np.arange(n) - 1) % n
+    np.testing.assert_array_equal(est.mean, mean[back])
+    np.testing.assert_array_equal(est.covariance, cov[np.ix_(back, back)])
+    assert np.trace(est.covariance) == pytest.approx(np.trace(cov))
 
 
 def test_forecast_through_grid_model():
@@ -76,31 +116,90 @@ def test_forecast_through_grid_model():
     assert est.trace > prev.trace
 
 
-# --- gain ----------------------------------------------------------------------
+def test_forecast_mean_is_the_model_advection():
+    grid = make_grid(2.0, 50, 0.99, 1.0, 10)
+    rng = np.random.default_rng(4)
+    mean = rng.standard_normal(50)
+    speeds = rng.uniform(-1.0, 1.0, 50)
+    est = forecast(StateEstimate(0, mean, random_spd(rng, 50)), grid, ModelConfig(0.08), speeds)
+    np.testing.assert_array_equal(
+        est.mean, model_step(mean, grid, ModelConfig(), speeds, NoiseSource(0)))
+
+
+@st.composite
+def forecast_cases(draw):
+    n = draw(st.integers(2, 12))
+    lam = draw(st.lists(st.one_of(st.sampled_from([-1.0, 0.0, 1.0]),
+                                  st.floats(-1.0, 1.0)), min_size=n, max_size=n))
+    return n, np.array(lam), draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([0.0, 0.08]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(forecast_cases())
+def test_forecast_matches_dense_oracle(case):
+    n, lam, seed, noise_var = case
+    rng = np.random.default_rng(seed)
+    mean = rng.standard_normal(n)
+    cov = random_spd(rng, n)
+    est = forecast(StateEstimate(0, mean, cov), unit_grid(n), ModelConfig(noise_var=noise_var),
+                   lam)
+    ref_mean, ref_cov = dense_forecast(mean, cov, dense_lax_friedrichs(lam), noise_var)
+    assert np.abs(est.mean - ref_mean).max() <= 1e-14 * np.abs(ref_mean).max()
+    assert np.abs(est.covariance - ref_cov).max() <= 1e-14 * np.abs(ref_cov).max()
+    np.testing.assert_array_equal(est.covariance, est.covariance.T)
+
+
+# --- conditioning kernel -----------------------------------------------------------
+
+def test_condition_matches_condition_on_stations():
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        n = int(rng.integers(1, 30))
+        k = int(rng.integers(1, n + 1))
+        cov = random_spd(rng, n)
+        mean = rng.standard_normal(n)
+        stations = rng.choice(n, size=k, replace=False)
+        values = rng.standard_normal(k)
+        variances = rng.uniform(0.01, 1.0, size=k)
+        post_mean, post_cov = condition(mean, cov, stations, values, variances)
+        ref_mean, ref_cov = condition_on_stations(mean, cov, stations, values, variances)
+        scale = np.abs(cov).max()
+        np.testing.assert_allclose(post_mean, ref_mean, rtol=0, atol=1e-10 * scale)
+        np.testing.assert_allclose(post_cov, ref_cov, rtol=0, atol=1e-10 * scale)
+        np.testing.assert_array_equal(post_cov, post_cov.T)
+
+
+def test_gain_columns_match_dense_gain():
+    rng = np.random.default_rng(14)
+    cov = random_spd(rng, 9)
+    stations = np.array([7, 1, 4])
+    variances = np.array([0.05, 0.3, 0.01])
+    h = selector(stations, 9)
+    dense = cov @ h.T @ np.linalg.inv(h @ cov @ h.T + np.diag(variances))
+    np.testing.assert_allclose(gain_columns(cov, stations, variances), dense,
+                               rtol=0, atol=1e-12)
+
 
 def test_scalar_gain_half():
-    gain = kalman_gain(np.array([[1.0]]), np.array([[1.0]]), 1.0).gain
+    gain = gain_columns(np.array([[1.0]]), [0], 1.0)
     assert gain[0, 0] == pytest.approx(0.5)
 
 
 def test_scalar_gain_point_eight():
-    gain = kalman_gain(np.array([[0.08]]), np.array([[1.0]]), 0.02).gain
+    gain = gain_columns(np.array([[0.08]]), [0], 0.02)
     assert gain[0, 0] == pytest.approx(0.8)
 
 
 def test_gain_vanishes_for_uninformative_data():
     rng = np.random.default_rng(3)
     cov = random_spd(rng, 12)
-    h = selector([2, 7, 9], 12)
-    gain = kalman_gain(cov, h, 1e9).gain
+    gain = gain_columns(cov, [2, 7, 9], 1e9)
     assert np.abs(gain).max() < 1e-6
 
 
 def test_gain_failure_names_time_index():
-    cov = np.zeros((3, 3))
-    h = selector([0, 1], 3)
     with pytest.raises(FilterError, match="time index 17"):
-        kalman_gain(cov, h, 0.0, time_index=17)
+        condition(np.zeros(3), np.zeros((3, 3)), [0, 1], np.zeros(2), 0.0, time_index=17)
 
 
 # --- analysis ------------------------------------------------------------------
@@ -149,9 +248,10 @@ def test_analysis_never_raises_trace():
 def test_gain_minimizes_joseph_trace():
     rng = np.random.default_rng(6)
     cov = random_spd(rng, 10)
-    h = selector([0, 4, 7], 10)
+    stations = [0, 4, 7]
+    h = selector(stations, 10)
     obs_var = 0.07
-    gain = kalman_gain(cov, h, obs_var).gain
+    gain = gain_columns(cov, stations, obs_var)
     base = np.trace(joseph_covariance(cov, gain, h, obs_var))
     for _ in range(100):
         delta = rng.standard_normal(gain.shape)
@@ -163,12 +263,13 @@ def test_gain_minimizes_joseph_trace():
 def test_joseph_form_agrees_with_standard_update_at_the_optimum():
     rng = np.random.default_rng(7)
     cov = random_spd(rng, 9)
-    h = selector([1, 5], 9)
+    stations = [1, 5]
+    h = selector(stations, 9)
     obs_var = 0.3
-    gain = kalman_gain(cov, h, obs_var).gain
-    standard = (np.eye(9) - gain @ h) @ cov
-    np.testing.assert_allclose(joseph_covariance(cov, gain, h, obs_var),
-                               0.5 * (standard + standard.T), rtol=0, atol=1e-12)
+    gain = gain_columns(cov, stations, obs_var)
+    _, post_cov = condition(np.zeros(9), cov, stations, np.zeros(2), obs_var)
+    np.testing.assert_allclose(joseph_covariance(cov, gain, h, obs_var), post_cov,
+                               rtol=0, atol=1e-12)
 
 
 def test_analysis_rejects_mismatched_times():
@@ -183,6 +284,21 @@ def test_analysis_rejects_dimension_mismatch():
     block = obs_block([1.0, 2.0], [0, 1], 1, 0.1)
     with pytest.raises(ValueError):
         analysis(est, block, selector([0], 4), 0.1)
+
+
+def test_analysis_rejects_matrix_that_is_not_the_exact_selector():
+    est = StateEstimate(1, np.zeros(4), np.eye(4))
+    block = obs_block([1.0, 2.0], [0, 2], 1, 0.1)
+    scaled = selector([0, 2], 4)
+    scaled[1, 2] = 2.0
+    interpolating = selector([0, 2], 4)
+    interpolating[0, 1] = 0.5
+    for h in (scaled, interpolating, selector([0, 1], 4), selector([0, 2], 5)):
+        with pytest.raises(ValueError):
+            analysis(est, block, h, 0.1)
+    with pytest.raises(ValueError, match="outside the grid"):
+        analysis(est, obs_block([1.0], [-1], 1, 0.1), selector([3], 4), 0.1)
+    analysis(est, block, selector([0, 2], 4), 0.1)
 
 
 def test_analysis_covariance_stays_symmetric():

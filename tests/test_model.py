@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dlfilter.core import NoiseSource, make_grid
-from dlfilter.model import ModelConfig, lax_friedrichs_matrix, model_step
+from dlfilter.model import (ModelConfig, lax_friedrichs_matrix, lax_friedrichs_weights,
+                            model_step)
 
 
 def unit_grid(n_points=50, n_steps=10):
@@ -53,6 +54,27 @@ def test_two_point_grid_row_sums():
     grid = make_grid(1.0, 2, 1.0, 1.0, 1)
     matrix = lax_friedrichs_matrix(grid, np.array([0.5, -0.25]))
     np.testing.assert_allclose(matrix.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+
+
+def test_weights_are_the_two_diagonals_of_the_matrix():
+    grid = unit_grid(n_points=7)
+    speeds = np.random.default_rng(9).uniform(-1.0, 1.0, grid.n_points)
+    right, left = lax_friedrichs_weights(grid, speeds)
+    matrix = lax_friedrichs_matrix(grid, speeds)
+    rows = np.arange(grid.n_points)
+    np.testing.assert_array_equal(matrix[rows, (rows + 1) % 7], right)
+    np.testing.assert_array_equal(matrix[rows, (rows - 1) % 7], left)
+    np.testing.assert_array_equal(right + left, np.ones(7))
+
+
+def test_weights_reject_cfl_violation_and_bad_shape():
+    grid = unit_grid()
+    speeds = np.ones(grid.n_points)
+    speeds[13] = -1.01
+    with pytest.raises(ValueError, match="CFL"):
+        lax_friedrichs_weights(grid, speeds)
+    with pytest.raises(ValueError, match="shape"):
+        lax_friedrichs_weights(grid, np.ones(grid.n_points + 1))
 
 
 def test_model_step_unit_lambda_shifts_exactly():
