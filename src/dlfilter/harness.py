@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import statistics
+import typing
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +25,7 @@ from .dlf import Pool, dlf_step
 from .kalman import analysis, forecast
 from .model import ModelConfig, model_step
 from .obsnet import (Observation, build_network, observation_matrix,
-                     observations_by_step, sample_observations, write_observations_csv)
+                     observations_by_step, sample_observations)
 from .truth import Drift, TruthConfig, TruthField, generate_truth, mean_speed, pulse_profile
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "summarize_run",
     "sweep",
     "write_outputs",
+    "read_table",
     "load_config",
     "config_to_flat",
     "config_from_flat",
@@ -81,8 +83,9 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be nonnegative")
         if self.model_mode not in ("stochastic", "mean"):
             raise ValueError("model_mode must be 'stochastic' or 'mean'")
-        if self.last_data_step > self.n_steps:
-            raise ValueError("present_time cannot exceed n_steps")
+        if self.present_time is not None and not 0 <= self.present_time <= self.n_steps:
+            raise ValueError(f"present_time must lie in [0, n_steps = {self.n_steps}], "
+                             f"got {self.present_time}")
 
     @property
     def last_data_step(self) -> int:
@@ -282,6 +285,9 @@ def sweep(base: ScenarioConfig, xi_list, tau_list, n_replicates: int) -> list[di
     """
     if n_replicates < 1:
         raise ValueError("need at least one replicate")
+    for name, values in (("xi_list", xi_list), ("tau_list", tau_list)):
+        if len(values) == 0:
+            raise ValueError(f"{name} is empty: a sweep needs at least one frequency in it")
     rows = []
     for xi in xi_list:
         for tau in tau_list:
@@ -305,7 +311,16 @@ def sweep(base: ScenarioConfig, xi_list, tau_list, n_replicates: int) -> list[di
 # ---------------------------------------------------------------------------
 # Config file handling: flat "key = value" text, or a manifest JSON.
 
-_CONFIG_FIELDS = {f.name for f in fields(ScenarioConfig)}
+def _parser(hint):
+    """The type a field's text converts through; ``T | None`` reads as ``T``."""
+    types = [t for t in typing.get_args(hint) if t is not type(None)]
+    if len(types) > 1:
+        raise TypeError(f"no single parser for config type {hint}")
+    return types[0] if types else hint
+
+
+_CONFIG_PARSERS = {name: _parser(hint)
+                   for name, hint in typing.get_type_hints(ScenarioConfig).items()}
 
 
 def config_to_flat(cfg: ScenarioConfig) -> dict[str, str]:
@@ -328,26 +343,13 @@ def config_to_flat(cfg: ScenarioConfig) -> dict[str, str]:
 
 def config_from_flat(flat: dict[str, str]) -> ScenarioConfig:
     """Parse flat key/value strings; unknown keys are rejected."""
-    unknown = set(flat) - _CONFIG_FIELDS
+    unknown = set(flat) - set(_CONFIG_PARSERS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if "drift" not in flat:
         raise ValueError("config must set 'drift'")
-    kwargs: dict = {}
-    ints = {"n_points", "n_steps", "seed_truth", "seed_model", "seed_obs", "present_time"}
-    fracs = {"space_freq", "time_freq"}
-    strings = {"drift", "model_mode"}
-    for key, raw in flat.items():
-        raw = str(raw).strip()
-        if key in strings:
-            kwargs[key] = raw
-        elif key in ints:
-            kwargs[key] = int(raw)
-        elif key in fracs:
-            kwargs[key] = Fraction(raw)
-        else:
-            kwargs[key] = float(raw)
-    return ScenarioConfig(**kwargs)
+    return ScenarioConfig(**{key: _CONFIG_PARSERS[key](str(raw).strip())
+                             for key, raw in flat.items()})
 
 
 def load_config(path) -> ScenarioConfig:
@@ -371,21 +373,29 @@ def load_config(path) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# Outputs
+# Outputs: every CSV file is a header line, then one line per row, each line
+# ending in "\r\n"; float cells carry FLOAT_FMT, other cells their str().
 
-def _write_trajectory(path: Path, trajectory: np.ndarray) -> None:
+def _cell(value) -> str:
+    return format(value, FLOAT_FMT) if isinstance(value, float) else str(value)
+
+
+def _write_table(path, header, rows) -> Path:
+    """Write one table, streaming ``rows`` (an iterable of cell sequences)."""
+    path = Path(path)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow([f"station_{k}" for k in range(trajectory.shape[1])])
-        for row in trajectory:
-            writer.writerow([format(v, FLOAT_FMT) for v in row])
+        writer.writerow(header)
+        writer.writerows(map(_cell, row) for row in rows)
+    return path
 
 
-def read_trajectory(path) -> np.ndarray:
+def read_table(path) -> tuple[list[str], np.ndarray]:
+    """Read a table of numbers back: its header and a (rows, columns) float array."""
     with open(Path(path), newline="") as handle:
         reader = csv.reader(handle)
-        next(reader)
-        return np.array([[float(v) for v in row] for row in reader])
+        header = next(reader)
+        return header, np.array([[float(v) for v in row] for row in reader])
 
 
 def write_outputs(result: RunResult, out_dir) -> list[Path]:
@@ -397,52 +407,31 @@ def write_outputs(result: RunResult, out_dir) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     m = result.metrics
+    grid = result.grid
+    stations = [f"station_{k}" for k in range(grid.n_points)]
+    metric_columns = ["com_truth", "com_model", "com_kf", "com_dlf", "trace_kf", "trace_dlf",
+                      "rmse_model", "rmse_kf", "rmse_dlf"]
 
-    written = []
-    trajectories = {
-        "truth.csv": result.truth.values,
-        "model.csv": result.model_only,
-        "kf_mean.csv": np.array([s.mean for s in result.kf]),
-        "dlf_mean.csv": np.array([s.mean for s in result.dlf]),
+    tables = {
+        "truth.csv": (stations, map(np.ndarray.tolist, result.truth.values)),
+        "model.csv": (stations, map(np.ndarray.tolist, result.model_only)),
+        "kf_mean.csv": (stations, (s.mean.tolist() for s in result.kf)),
+        "dlf_mean.csv": (stations, (s.mean.tolist() for s in result.dlf)),
+        "metrics.csv": (["step"] + metric_columns,
+                        zip(range(grid.n_steps + 1),
+                            *(getattr(m, c).tolist() for c in metric_columns))),
+        "final_diff.csv": (["station", "x", "diff_model", "diff_kf", "diff_dlf"],
+                           zip(range(grid.n_points), grid.positions.tolist(),
+                               m.final_diff_model.tolist(), m.final_diff_kf.tolist(),
+                               m.final_diff_dlf.tolist())),
+        "observations.csv": (["time_index", "station", "value", "variance"],
+                             ((o.time_index, o.station, o.value, o.variance)
+                              for o in result.observations)),
     }
-    for name, data in trajectories.items():
-        _write_trajectory(out / name, data)
-        written.append(out / name)
-
-    metrics_path = out / "metrics.csv"
-    with open(metrics_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        columns = ["com_truth", "com_model", "com_kf", "com_dlf", "trace_kf", "trace_dlf",
-                   "rmse_model", "rmse_kf", "rmse_dlf"]
-        writer.writerow(["step"] + columns)
-        for step in range(result.grid.n_steps + 1):
-            writer.writerow([step] + [format(getattr(m, c)[step], FLOAT_FMT) for c in columns])
-    written.append(metrics_path)
-
-    diff_path = out / "final_diff.csv"
-    with open(diff_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["station", "x", "diff_model", "diff_kf", "diff_dlf"])
-        for k in range(result.grid.n_points):
-            writer.writerow([k, format(result.grid.positions[k], FLOAT_FMT),
-                             format(m.final_diff_model[k], FLOAT_FMT),
-                             format(m.final_diff_kf[k], FLOAT_FMT),
-                             format(m.final_diff_dlf[k], FLOAT_FMT)])
-    written.append(diff_path)
-
-    obs_path = out / "observations.csv"
-    write_observations_csv(result.observations, obs_path)
-    written.append(obs_path)
-
     if result.pool_trace is not None:
-        trace_path = out / "pool_trace.csv"
-        with open(trace_path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["step", "origin_time", "position", "variance", "selected"])
-            for step, origin, pos, var, selected in result.pool_trace:
-                writer.writerow([step, origin, format(pos, FLOAT_FMT),
-                                 format(var, FLOAT_FMT), selected])
-        written.append(trace_path)
+        tables["pool_trace.csv"] = (["step", "origin_time", "position", "variance", "selected"],
+                                    result.pool_trace)
+    written = [_write_table(out / name, header, rows) for name, (header, rows) in tables.items()]
 
     manifest = {
         "tool": "dlfilter",
@@ -458,10 +447,5 @@ def write_outputs(result: RunResult, out_dir) -> list[Path]:
 
 
 def write_sweep_csv(rows: list[dict], path) -> None:
-    with open(Path(path), "w", newline="") as handle:
-        writer = csv.writer(handle)
-        header = list(rows[0])
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[k] if isinstance(row[k], (str, int))
-                             else format(row[k], FLOAT_FMT) for k in header])
+    header = list(rows[0])
+    _write_table(path, header, ([row[k] for k in header] for row in rows))

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -20,8 +18,6 @@ __all__ = [
     "sample_observations",
     "observation_matrix",
     "observations_by_step",
-    "write_observations_csv",
-    "read_observations_csv",
 ]
 
 
@@ -71,11 +67,10 @@ class Observation:
 
 def _stride(freq) -> int:
     """Invert a sampling frequency 1/s into the integer stride s."""
-    frac = Fraction(freq) if not isinstance(freq, Fraction) else freq
-    inv = 1 / frac
-    if inv.denominator != 1 or inv <= 0:
+    frac = Fraction(freq)
+    if frac <= 0 or frac.numerator != 1:
         raise ValueError(f"frequency {freq} does not invert to a positive integer stride")
-    return int(inv)
+    return frac.denominator
 
 
 def build_network(grid: GridSpec, xi, tau, noise_var: float) -> ObsNetwork:
@@ -122,19 +117,3 @@ def observations_by_step(observations: list[Observation]) -> dict[int, list[Obse
         grouped.setdefault(obs.time_index, []).append(obs)
     return grouped
 
-
-def write_observations_csv(observations: list[Observation], path) -> None:
-    with open(Path(path), "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["time_index", "station", "value", "variance"])
-        for obs in observations:
-            writer.writerow([obs.time_index, obs.station,
-                             format(obs.value, ".17g"), format(obs.variance, ".17g")])
-
-
-def read_observations_csv(path) -> list[Observation]:
-    with open(Path(path), newline="") as handle:
-        reader = csv.DictReader(handle)
-        return [Observation(value=float(row["value"]), station=int(row["station"]),
-                            time_index=int(row["time_index"]), variance=float(row["variance"]))
-                for row in reader]

@@ -5,7 +5,7 @@ import pytest
 
 from dlfilter.checks import run_all
 from dlfilter.cli import main
-from dlfilter.harness import config_to_flat, default_config, read_trajectory
+from dlfilter.harness import config_to_flat, default_config, read_table
 
 
 @pytest.fixture
@@ -32,8 +32,8 @@ def test_run_command_accepts_manifest(tmp_path, config_file):
     second = tmp_path / "second"
     main(["run", "--config", str(config_file), "--out", str(first)])
     main(["run", "--config", str(first / "manifest.json"), "--out", str(second)])
-    np.testing.assert_array_equal(read_trajectory(first / "dlf_mean.csv"),
-                                  read_trajectory(second / "dlf_mean.csv"))
+    np.testing.assert_array_equal(read_table(first / "dlf_mean.csv")[1],
+                                  read_table(second / "dlf_mean.csv")[1])
 
 
 def test_run_command_pool_trace(tmp_path, config_file):

@@ -1,15 +1,17 @@
+import csv
 import json
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dlfilter.core import make_grid
-from dlfilter.harness import (ScenarioConfig, center_of_mass, circular_distance,
+from dlfilter.harness import (ScenarioConfig, _write_table, center_of_mass, circular_distance,
                               config_from_flat, config_to_flat, default_config,
-                              load_config, read_trajectory, run_scenario, summarize_run,
-                              sweep, write_outputs)
+                              load_config, read_table, run_scenario, summarize_run,
+                              sweep, write_outputs, write_sweep_csv)
 from dlfilter.truth import Drift, pulse_profile
 
 
@@ -208,6 +210,13 @@ def test_sweep_covers_all_cells():
     assert all(r["replicates"] == 2 for r in rows)
 
 
+@pytest.mark.parametrize("xi_list, tau_list, empty", [([], [Fraction(1)], "xi_list"),
+                                                      ([Fraction(1)], [], "tau_list")])
+def test_sweep_rejects_an_empty_frequency_list(xi_list, tau_list, empty):
+    with pytest.raises(ValueError, match=empty):
+        sweep(small_cfg(), xi_list, tau_list, 1)
+
+
 def test_sweep_replicates_use_distinct_truths():
     cfg = small_cfg()
     runs = []
@@ -228,12 +237,24 @@ def test_config_flat_roundtrip():
 
 
 def test_config_file_roundtrip(tmp_path):
-    cfg = small_cfg()
-    flat = config_to_flat(cfg)
-    text = "\n".join(f"{k} = {v}" for k, v in flat.items()) + "\n# trailing comment\n"
-    path = tmp_path / "scenario.cfg"
-    path.write_text(text)
-    assert load_config(path) == cfg
+    # every field off its default, so a field parsed through the wrong type shows
+    off_default = ScenarioConfig(
+        drift=Drift.ACCELERATING, domain_length=3.0, n_points=30, cfl=0.5, n_steps=40,
+        relax_rate=0.03, base_speed=0.2, speed_ramp=0.05, speed_noise=0.01,
+        forcing_noise=0.02, pulse_center=0.7, init_var=0.03, model_noise_var=0.05,
+        space_freq=Fraction(1, 3), time_freq=Fraction(1, 4), obs_var=0.01, seed_truth=7,
+        seed_model=8, seed_obs=9, present_time=30, model_mode="mean")
+    for f in fields(ScenarioConfig):
+        assert getattr(off_default, f.name) != f.default, f.name
+    for cfg in (small_cfg(), off_default):
+        flat = config_to_flat(cfg)
+        text = "\n".join(f"{k} = {v}" for k, v in flat.items()) + "\n# trailing comment\n"
+        path = tmp_path / "scenario.cfg"
+        path.write_text(text)
+        loaded = load_config(path)
+        assert loaded == cfg
+        for f in fields(ScenarioConfig):
+            assert type(getattr(loaded, f.name)) is type(getattr(cfg, f.name)), f.name
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -265,21 +286,59 @@ def test_config_validates_model_mode():
 def test_config_validates_present_time():
     with pytest.raises(ValueError):
         ScenarioConfig(drift=Drift.OU, n_steps=10, present_time=11)
+    with pytest.raises(ValueError, match="present_time"):
+        ScenarioConfig(drift=Drift.OU, n_steps=10, present_time=-5)
 
 
 # --- outputs -------------------------------------------------------------------------
 
+GOLDEN_FLOATS = [-0.0, 0.1, 1 / 3, 1e-300, 5e-324, math.nan]
+GOLDEN_BYTES = (b"n,label,v\r\n"
+                b"0,1/4,-0\r\n"
+                b"1,1/5,0.10000000000000001\r\n"
+                b"2,1/6,0.33333333333333331\r\n"
+                b"3,1/7,1e-300\r\n"
+                b"4,1/8,4.9406564584124654e-324\r\n"
+                b"5,1/9,nan\r\n")
+
+
+def _bits(floats) -> list[int]:
+    return np.asarray(floats, dtype=float).view(np.uint64).tolist()
+
+
+def test_table_format_golden_bytes(tmp_path):
+    rows = [(n, f"1/{n + 4}", v) for n, v in enumerate(GOLDEN_FLOATS)]
+    path = tmp_path / "table.csv"
+    _write_table(path, ["n", "label", "v"], rows)
+    assert path.read_bytes() == GOLDEN_BYTES
+    with open(path, newline="") as handle:
+        parsed = list(csv.reader(handle))
+    assert parsed[0] == ["n", "label", "v"]
+    assert [(int(n), label) for n, label, _ in parsed[1:]] == [row[:2] for row in rows]
+    assert _bits([float(v) for _, _, v in parsed[1:]]) == _bits(GOLDEN_FLOATS)
+    # the sweep summary goes through the same writer
+    sweep_path = tmp_path / "sweep.csv"
+    write_sweep_csv([{"n": n, "label": label, "v": v} for n, label, v in rows], sweep_path)
+    assert sweep_path.read_bytes() == GOLDEN_BYTES
+    numeric_path = tmp_path / "numeric.csv"
+    _write_table(numeric_path, ["n", "v"], ((n, v) for n, _, v in rows))
+    header, values = read_table(numeric_path)
+    assert header == ["n", "v"]
+    np.testing.assert_array_equal(values[:, 0], np.arange(len(rows)))
+    assert _bits(values[:, 1]) == _bits(GOLDEN_FLOATS)
+
+
 def test_written_trajectories_roundtrip_bit_exact(tmp_path):
     result = run_scenario(small_cfg())
     write_outputs(result, tmp_path)
-    np.testing.assert_array_equal(read_trajectory(tmp_path / "truth.csv"),
-                                  result.truth.values)
-    np.testing.assert_array_equal(read_trajectory(tmp_path / "model.csv"),
-                                  result.model_only)
-    np.testing.assert_array_equal(read_trajectory(tmp_path / "kf_mean.csv"),
-                                  np.array([s.mean for s in result.kf]))
-    np.testing.assert_array_equal(read_trajectory(tmp_path / "dlf_mean.csv"),
-                                  np.array([s.mean for s in result.dlf]))
+    stations = [f"station_{k}" for k in range(result.grid.n_points)]
+    for name, expected in [("truth.csv", result.truth.values),
+                           ("model.csv", result.model_only),
+                           ("kf_mean.csv", np.array([s.mean for s in result.kf])),
+                           ("dlf_mean.csv", np.array([s.mean for s in result.dlf]))]:
+        header, values = read_table(tmp_path / name)
+        assert header == stations
+        np.testing.assert_array_equal(values, expected)
 
 
 def test_metrics_csv_row_count(tmp_path):

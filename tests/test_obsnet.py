@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from dlfilter.core import NoiseSource, make_grid
+from dlfilter.harness import default_config, read_table, run_scenario, write_outputs
 from dlfilter.obsnet import (Observation, build_network, observation_matrix,
-                             observations_by_step, read_observations_csv,
-                             sample_observations, write_observations_csv)
+                             observations_by_step, sample_observations)
 from dlfilter.truth import Drift, TruthConfig, generate_truth
 
 
@@ -45,6 +45,8 @@ def test_non_integer_stride_rejected():
         build_network(grid_for(), 0.3, 1, 0.02)
     with pytest.raises(ValueError):
         build_network(grid_for(), 1, Fraction(2, 3), 0.02)
+    with pytest.raises(ValueError):
+        build_network(grid_for(), 0, 1, 0.02)
 
 
 def test_observations_equal_truth_when_noise_vanishes():
@@ -129,13 +131,15 @@ def test_group_by_step_preserves_station_order():
 
 
 def test_observations_roundtrip_csv(tmp_path):
-    grid = grid_for()
-    truth = truth_for(grid)
-    net = build_network(grid, Fraction(1, 5), Fraction(1, 10), 0.02)
-    obs = sample_observations(truth, net, NoiseSource(31))
-    path = tmp_path / "observations.csv"
-    write_observations_csv(obs, path)
-    assert read_observations_csv(path) == obs
+    cfg = default_config("accelerating", n_steps=40, space_freq=Fraction(1, 5),
+                         time_freq=Fraction(1, 10), seed_obs=31)
+    result = run_scenario(cfg)
+    write_outputs(result, tmp_path)
+    header, rows = read_table(tmp_path / "observations.csv")
+    assert header == ["time_index", "station", "value", "variance"]
+    assert [Observation(value=value, station=int(station), time_index=int(time_index),
+                        variance=variance)
+            for time_index, station, value, variance in rows.tolist()] == result.observations
 
 
 def test_observation_requires_positive_variance():
