@@ -9,7 +9,8 @@ from pathlib import Path
 
 from . import __version__
 from .checks import run_all
-from .harness import load_config, run_scenario, sweep, write_outputs, write_sweep_csv
+from .harness import (load_config, run_scenario, sweep, sweep_configs, write_outputs,
+                      write_sweep_csv)
 
 
 def _fraction_list(text: str) -> list[Fraction]:
@@ -43,31 +44,40 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+
+    if args.command == "check":
+        failures = 0
+        for result in run_all():
+            status = "PASS" if result.passed else "FAIL"
+            print(f"{status} {result.name}: {result.detail}")
+            failures += 0 if result.passed else 1
+        return 1 if failures else 0
+
+    # Bad input is caught here, before anything runs, and reported the way
+    # argparse reports a bad flag; a failure past this point is a bug and raises.
+    try:
+        cfg = load_config(args.config)
+        if args.command == "sweep":
+            sweep_configs(cfg, args.xi, args.tau, args.replicates)
+    except (ValueError, OSError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
     if args.command == "run":
-        cfg = load_config(args.config)
         result = run_scenario(cfg, collect_pool_trace=args.pool_trace)
         written = write_outputs(result, args.out)
         for path in written:
             print(path)
         return 0
 
-    if args.command == "sweep":
-        cfg = load_config(args.config)
-        rows = sweep(cfg, args.xi, args.tau, args.replicates)
-        args.out.mkdir(parents=True, exist_ok=True)
-        out_path = args.out / "sweep_summary.csv"
-        write_sweep_csv(rows, out_path)
-        print(out_path)
-        return 0
-
-    failures = 0
-    for result in run_all():
-        status = "PASS" if result.passed else "FAIL"
-        print(f"{status} {result.name}: {result.detail}")
-        failures += 0 if result.passed else 1
-    return 1 if failures else 0
+    rows = sweep(cfg, args.xi, args.tau, args.replicates)
+    args.out.mkdir(parents=True, exist_ok=True)
+    out_path = args.out / "sweep_summary.csv"
+    write_sweep_csv(rows, out_path)
+    print(out_path)
+    return 0
 
 
 if __name__ == "__main__":

@@ -104,6 +104,11 @@ class LikelihoodAssembly:
                                          self.selected)):
             raise ValueError("assembly arrays must match the informed station count")
 
+    @classmethod
+    def empty(cls) -> "LikelihoodAssembly":
+        none = np.empty(0, dtype=np.int64)
+        return cls(none, np.empty(0), np.empty(0), none)
+
     def __len__(self):
         return len(self.informed_stations)
 

@@ -14,6 +14,7 @@ import math
 import statistics
 import typing
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .core import GridSpec, NoiseSource, StateEstimate, make_grid
-from .dlf import Pool, dlf_step
+from .dlf import DlfStepResult, LikelihoodAssembly, Pool, dlf_step
 from .kalman import analysis, forecast
 from .model import ModelConfig, model_step
 from .obsnet import (Observation, build_network, observation_matrix,
@@ -38,6 +39,7 @@ __all__ = [
     "run_scenario",
     "summarize_run",
     "sweep",
+    "sweep_configs",
     "write_outputs",
     "read_table",
     "load_config",
@@ -78,14 +80,18 @@ class ScenarioConfig:
         object.__setattr__(self, "drift", Drift(self.drift))
         object.__setattr__(self, "space_freq", Fraction(self.space_freq))
         object.__setattr__(self, "time_freq", Fraction(self.time_freq))
-        for name in ("obs_var", "model_noise_var", "init_var", "forcing_noise", "speed_noise"):
+        for name in ("model_noise_var", "init_var", "forcing_noise", "speed_noise"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        if self.obs_var <= 0:
+            raise ValueError("obs_var must be positive")
         if self.model_mode not in ("stochastic", "mean"):
             raise ValueError("model_mode must be 'stochastic' or 'mean'")
         if self.present_time is not None and not 0 <= self.present_time <= self.n_steps:
             raise ValueError(f"present_time must lie in [0, n_steps = {self.n_steps}], "
                              f"got {self.present_time}")
+        # A grid or network the values cannot build fails here, not mid-run.
+        build_network(self.grid(), self.space_freq, self.time_freq, self.obs_var)
 
     @property
     def last_data_step(self) -> int:
@@ -144,15 +150,41 @@ class MetricTable:
 
 @dataclass(frozen=True)
 class RunResult:
+    """One run's inputs, per-step means and metrics.
+
+    Every array is (n_steps + 1) rows or smaller: a run keeps no covariance.
+    ``kf`` and ``dlf``, the full per-step estimates, are replayed from the
+    stored truth and observations on first read and cached.
+    """
+
     config: ScenarioConfig
     grid: GridSpec
     truth: TruthField
     observations: list[Observation]
     model_only: np.ndarray            # (n_steps + 1, n_points)
-    kf: list[StateEstimate]
-    dlf: list[StateEstimate]
+    kf_mean: np.ndarray               # (n_steps + 1, n_points)
+    dlf_mean: np.ndarray              # (n_steps + 1, n_points)
     metrics: MetricTable
     pool_trace: list[tuple] | None = None
+
+    @cached_property
+    def _replay(self) -> tuple[list[StateEstimate], list[StateEstimate]]:
+        kf, dlf = [], []
+        for _, kf_est, dlf_result in _steps(self.config, self.grid, self.truth,
+                                             self.observations):
+            kf.append(kf_est)
+            dlf.append(dlf_result.estimate)
+        return kf, dlf
+
+    @property
+    def kf(self) -> list[StateEstimate]:
+        """Kalman filter estimate (mean and covariance) at every step, replayed."""
+        return self._replay[0]
+
+    @property
+    def dlf(self) -> list[StateEstimate]:
+        """Dynamic likelihood filter estimate at every step, replayed."""
+        return self._replay[1]
 
 
 def center_of_mass(field_values: np.ndarray, grid: GridSpec):
@@ -186,76 +218,97 @@ def _rmse(estimate: np.ndarray, reference: np.ndarray) -> float:
     return float(np.sqrt(np.mean((estimate - reference) ** 2)))
 
 
-def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False) -> RunResult:
-    """Run truth, model-only, Kalman, and dynamic likelihood estimators once."""
-    grid = cfg.grid()
+def _steps(cfg: ScenarioConfig, grid: GridSpec, truth: TruthField,
+           observations: list[Observation]):
+    """Advance the model-only trajectory, the KF and the DLF over one run.
+
+    Yields ``(model_row, kf_estimate, dlf_step_result)`` for steps 0 to
+    n_steps; step 0 is the initial state, with an empty pool and assembly.
+    The same inputs replay the same steps bit for bit.
+    """
     truth_cfg = cfg.truth_config()
-    truth = generate_truth(grid, truth_cfg, NoiseSource(cfg.seed_truth))
     net = build_network(grid, cfg.space_freq, cfg.time_freq, cfg.obs_var)
-    observations = sample_observations(truth, net, NoiseSource(cfg.seed_obs),
-                                       max_step=cfg.last_data_step)
     fresh_by_step = observations_by_step(observations)
     obs_mat = observation_matrix(net, grid)
     model_cfg = ModelConfig(noise_var=cfg.model_noise_var)
     model_only_cfg = model_cfg if cfg.model_mode == "stochastic" else ModelConfig(noise_var=0.0)
     model_src = NoiseSource(cfg.seed_model)
 
-    initial_mean = pulse_profile(grid, cfg.pulse_center)
-    initial = StateEstimate(time_index=0, mean=initial_mean,
-                            covariance=cfg.init_var * np.eye(grid.n_points))
-
-    model_only = np.empty_like(truth.values)
-    model_only[0] = initial_mean
-    kf_states = [initial]
-    dlf_states = [initial]
-    pool = Pool.empty(time_index=0)
-    trace_rows: list[tuple] | None = [] if collect_pool_trace else None
+    model_row = pulse_profile(grid, cfg.pulse_center)
+    kf_est = StateEstimate(time_index=0, mean=model_row,
+                           covariance=cfg.init_var * np.eye(grid.n_points))
+    dlf_result = DlfStepResult(kf_est, Pool.empty(time_index=0), LikelihoodAssembly.empty())
+    yield model_row, kf_est, dlf_result
 
     for step in range(1, grid.n_steps + 1):
         t_prev = (step - 1) * grid.dt
         speeds = np.asarray(mean_speed(truth_cfg, grid.positions, t_prev), dtype=float)
 
-        model_only[step] = model_step(model_only[step - 1], grid, model_only_cfg,
-                                      speeds, model_src)
+        model_row = model_step(model_row, grid, model_only_cfg, speeds, model_src)
 
-        kf_est = forecast(kf_states[-1], grid, model_cfg, speeds)
+        kf_est = forecast(kf_est, grid, model_cfg, speeds)
         fresh = fresh_by_step.get(step, [])
         if fresh:
             kf_est = analysis(kf_est, fresh, obs_mat, cfg.obs_var)
-        kf_states.append(kf_est)
 
-        result = dlf_step(dlf_states[-1], pool, fresh, grid, model_cfg, truth_cfg)
-        dlf_states.append(result.estimate)
-        pool = result.pool
+        dlf_result = dlf_step(dlf_result.estimate, dlf_result.pool, fresh, grid, model_cfg,
+                              truth_cfg)
+        yield model_row, kf_est, dlf_result
+
+
+def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False) -> RunResult:
+    """Run truth, model-only, Kalman, and dynamic likelihood estimators once.
+
+    Keeps each step's means and covariance traces, not the covariances.
+    """
+    grid = cfg.grid()
+    truth = generate_truth(grid, cfg.truth_config(), NoiseSource(cfg.seed_truth))
+    net = build_network(grid, cfg.space_freq, cfg.time_freq, cfg.obs_var)
+    observations = sample_observations(truth, net, NoiseSource(cfg.seed_obs),
+                                       max_step=cfg.last_data_step)
+
+    model_only = np.empty_like(truth.values)
+    kf_mean = np.empty_like(truth.values)
+    dlf_mean = np.empty_like(truth.values)
+    trace_kf = np.empty(grid.n_steps + 1)
+    trace_dlf = np.empty(grid.n_steps + 1)
+    trace_rows: list[tuple] | None = [] if collect_pool_trace else None
+
+    for step, (model_row, kf_est, dlf_result) in enumerate(
+            _steps(cfg, grid, truth, observations)):
+        model_only[step] = model_row
+        kf_mean[step] = kf_est.mean
+        dlf_mean[step] = dlf_result.estimate.mean
+        trace_kf[step] = kf_est.trace
+        trace_dlf[step] = dlf_result.estimate.trace
         if trace_rows is not None:
+            pool = dlf_result.pool
             selected = np.zeros(len(pool), dtype=int)
-            selected[result.assembly.selected] = 1
+            selected[dlf_result.assembly.selected] = 1
             trace_rows.extend((step, *row) for row in zip(
                 pool.origin_time.tolist(), pool.position.tolist(), pool.variance.tolist(),
                 selected.tolist()))
 
-    metrics = _compute_metrics(grid, truth, model_only, kf_states, dlf_states)
+    metrics = _compute_metrics(grid, truth, model_only, kf_mean, dlf_mean, trace_kf, trace_dlf)
     return RunResult(config=cfg, grid=grid, truth=truth, observations=observations,
-                     model_only=model_only, kf=kf_states, dlf=dlf_states,
+                     model_only=model_only, kf_mean=kf_mean, dlf_mean=dlf_mean,
                      metrics=metrics, pool_trace=trace_rows)
 
 
-def _compute_metrics(grid, truth, model_only, kf_states, dlf_states) -> MetricTable:
+def _compute_metrics(grid, truth, model_only, kf_mean, dlf_mean, trace_kf,
+                     trace_dlf) -> MetricTable:
     rows = grid.n_steps + 1
-    kf_means = np.array([s.mean for s in kf_states])
-    dlf_means = np.array([s.mean for s in dlf_states])
     com_truth, com_model, com_kf, com_dlf = (
-        center_of_mass(values, grid) for values in (truth.values, model_only, kf_means, dlf_means))
+        center_of_mass(values, grid) for values in (truth.values, model_only, kf_mean, dlf_mean))
     return MetricTable(
         com_truth=com_truth, com_model=com_model, com_kf=com_kf, com_dlf=com_dlf,
-        trace_kf=np.array([s.trace for s in kf_states]),
-        trace_dlf=np.array([s.trace for s in dlf_states]),
+        trace_kf=trace_kf, trace_dlf=trace_dlf,
         rmse_model=np.array([_rmse(model_only[n], truth.values[n]) for n in range(rows)]),
-        rmse_kf=np.array([_rmse(kf_states[n].mean, truth.values[n]) for n in range(rows)]),
-        rmse_dlf=np.array([_rmse(dlf_states[n].mean, truth.values[n]) for n in range(rows)]),
+        rmse_kf=np.array([_rmse(kf_mean[n], truth.values[n]) for n in range(rows)]),
+        rmse_dlf=np.array([_rmse(dlf_mean[n], truth.values[n]) for n in range(rows)]),
         final_diff_model=model_only[-1] - truth.values[-1],
-        final_diff_kf=kf_states[-1].mean - truth.values[-1],
-        final_diff_dlf=dlf_states[-1].mean - truth.values[-1],
+        final_diff_kf=kf_mean[-1] - truth.values[-1],
+        final_diff_dlf=dlf_mean[-1] - truth.values[-1],
     )
 
 
@@ -277,34 +330,37 @@ def summarize_run(result: RunResult) -> dict[str, float]:
     }
 
 
-def sweep(base: ScenarioConfig, xi_list, tau_list, n_replicates: int) -> list[dict]:
-    """Replicate-aggregated metrics over a grid of sampling frequencies.
+def sweep_configs(base: ScenarioConfig, xi_list, tau_list,
+                  n_replicates: int) -> list[list[ScenarioConfig]]:
+    """The replicate configs of each (xi, tau) cell, in sweep order.
 
     Replicate r shifts every seed by r, so realizations differ while the
-    physical configuration stays fixed.
+    physical configuration stays fixed. Every config is built, and so
+    checked, before a sweep runs any of them.
     """
     if n_replicates < 1:
         raise ValueError("need at least one replicate")
     for name, values in (("xi_list", xi_list), ("tau_list", tau_list)):
         if len(values) == 0:
             raise ValueError(f"{name} is empty: a sweep needs at least one frequency in it")
+    return [[replace(base, space_freq=Fraction(xi), time_freq=Fraction(tau),
+                     seed_truth=base.seed_truth + rep, seed_model=base.seed_model + rep,
+                     seed_obs=base.seed_obs + rep) for rep in range(n_replicates)]
+            for xi in xi_list for tau in tau_list]
+
+
+def sweep(base: ScenarioConfig, xi_list, tau_list, n_replicates: int) -> list[dict]:
+    """Replicate-aggregated metrics over a grid of sampling frequencies."""
     rows = []
-    for xi in xi_list:
-        for tau in tau_list:
-            summaries = []
-            for rep in range(n_replicates):
-                cfg = replace(base, space_freq=Fraction(xi), time_freq=Fraction(tau),
-                              seed_truth=base.seed_truth + rep,
-                              seed_model=base.seed_model + rep,
-                              seed_obs=base.seed_obs + rep)
-                summaries.append(summarize_run(run_scenario(cfg)))
-            row: dict = {"xi": str(Fraction(xi)), "tau": str(Fraction(tau)),
-                         "replicates": n_replicates}
-            for key in summaries[0]:
-                values = [s[key] for s in summaries]
-                row[f"mean_{key}"] = float(np.mean(values))
-                row[f"median_{key}"] = float(statistics.median(values))
-            rows.append(row)
+    for cell in sweep_configs(base, xi_list, tau_list, n_replicates):
+        summaries = [summarize_run(run_scenario(cfg)) for cfg in cell]
+        row: dict = {"xi": str(cell[0].space_freq), "tau": str(cell[0].time_freq),
+                     "replicates": n_replicates}
+        for key in summaries[0]:
+            values = [s[key] for s in summaries]
+            row[f"mean_{key}"] = float(np.mean(values))
+            row[f"median_{key}"] = float(statistics.median(values))
+        rows.append(row)
     return rows
 
 
@@ -415,8 +471,8 @@ def write_outputs(result: RunResult, out_dir) -> list[Path]:
     tables = {
         "truth.csv": (stations, map(np.ndarray.tolist, result.truth.values)),
         "model.csv": (stations, map(np.ndarray.tolist, result.model_only)),
-        "kf_mean.csv": (stations, (s.mean.tolist() for s in result.kf)),
-        "dlf_mean.csv": (stations, (s.mean.tolist() for s in result.dlf)),
+        "kf_mean.csv": (stations, map(np.ndarray.tolist, result.kf_mean)),
+        "dlf_mean.csv": (stations, map(np.ndarray.tolist, result.dlf_mean)),
         "metrics.csv": (["step"] + metric_columns,
                         zip(range(grid.n_steps + 1),
                             *(getattr(m, c).tolist() for c in metric_columns))),

@@ -47,7 +47,7 @@ def forecast(prev: StateEstimate, grid: GridSpec, model_cfg: ModelConfig,
     right, left = lax_friedrichs_weights(grid, speeds)
     # The returned covariance is allocated before the work buffers: a
     # long-lived array placed among short-lived ones fragments the heap, and
-    # a run keeps one covariance per step.
+    # a replay (RunResult.kf) keeps one covariance per step.
     cov = np.empty_like(prev.covariance)
     rows = np.empty_like(cov)
     work = np.empty_like(cov)

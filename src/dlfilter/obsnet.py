@@ -65,18 +65,18 @@ class Observation:
             raise ValueError("observation variance must be positive")
 
 
-def _stride(freq) -> int:
+def _stride(freq, name: str) -> int:
     """Invert a sampling frequency 1/s into the integer stride s."""
     frac = Fraction(freq)
     if frac <= 0 or frac.numerator != 1:
-        raise ValueError(f"frequency {freq} does not invert to a positive integer stride")
+        raise ValueError(f"{name} {freq} does not invert to a positive integer stride")
     return frac.denominator
 
 
 def build_network(grid: GridSpec, xi, tau, noise_var: float) -> ObsNetwork:
     """Select every (1/xi)-th station and every (1/tau)-th step."""
-    space_stride = _stride(xi)
-    step_stride = _stride(tau)
+    space_stride = _stride(xi, "spatial frequency")
+    step_stride = _stride(tau, "temporal frequency")
     if space_stride > grid.n_points:
         raise ValueError("spatial stride exceeds the number of stations")
     stations = tuple(range(0, grid.n_points, space_stride))

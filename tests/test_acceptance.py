@@ -103,8 +103,7 @@ def test_criterion_3_dense_fresh_data_reduces_to_kalman_per_step():
 
 def test_criterion_4_dense_network_makes_filters_indistinguishable():
     result = run_scenario(default_config("ou"))
-    kf = np.array([s.mean for s in result.kf])
-    dlf = np.array([s.mean for s in result.dlf])
+    kf, dlf = result.kf_mean, result.dlf_mean
     rel = float(np.linalg.norm(kf - dlf) / np.linalg.norm(kf))
     ok = rel <= 0.05
     assert report(4, "dense-network agreement", ok,

@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dlfilter
+from dlfilter import cli
 from dlfilter.checks import run_all
 from dlfilter.cli import main
+from dlfilter.kalman import FilterError
 from dlfilter.harness import config_to_flat, default_config, read_table
 
 
@@ -67,3 +74,40 @@ def test_check_command(capsys):
 def test_self_checks_all_pass():
     for result in run_all():
         assert result.passed, f"{result.name}: {result.detail}"
+
+
+def run_cli(*argv):
+    """``python -m dlfilter argv`` in a fresh process: (status, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dlfilter.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "dlfilter", *argv], env=env,
+                          capture_output=True, text=True)
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize("command, config_text, message", [
+    ("run", "drift = ou\npresent_time = -5\n", "present_time must lie in [0, n_steps = 200]"),
+    ("run", "drift = ou\nspace_freq = 0\n", "spatial frequency 0 does not invert"),
+    ("run", None, "No such file or directory"),
+    ("sweep", "drift = ou\nn_steps = 5\n", "xi_list is empty"),
+], ids=["negative-present-time", "zero-space-freq", "missing-config", "empty-xi-list"])
+def test_bad_input_is_one_error_line_with_status_2(tmp_path, command, config_text, message):
+    config = tmp_path / "scenario.cfg"
+    if config_text is not None:
+        config.write_text(config_text)
+    extra = ["--xi", "", "--tau", "1"] if command == "sweep" else []
+    status, err = run_cli(command, "--config", str(config), *extra, "--out", str(tmp_path / "out"))
+    assert status == 2
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("dlfilter: error: ")
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("error", [FilterError("Cholesky failed"),
+                                   ValueError("covariance is not symmetric within tolerance")])
+def test_failures_after_the_input_check_still_raise(monkeypatch, config_file, tmp_path, error):
+    def failing_run(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(cli, "run_scenario", failing_run)
+    with pytest.raises(type(error), match=str(error)):
+        main(["run", "--config", str(config_file), "--out", str(tmp_path / "out")])

@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dlfilter import harness
 from dlfilter.core import make_grid
 from dlfilter.harness import (ScenarioConfig, _write_table, center_of_mass, circular_distance,
                               config_from_flat, config_to_flat, default_config,
@@ -74,8 +76,8 @@ def center_of_mass_one_field(field_values, grid):
 def test_center_of_mass_of_rows_equals_one_field_at_a_time():
     result = run_scenario(small_cfg())
     grid = result.grid
-    fields = np.concatenate([result.truth.values, result.model_only,
-                             [s.mean for s in result.kf], [s.mean for s in result.dlf]])
+    fields = np.concatenate([result.truth.values, result.model_only, result.kf_mean,
+                             result.dlf_mean])
     expected = [center_of_mass_one_field(row, grid) for row in fields]
     np.testing.assert_array_equal(center_of_mass(fields, grid), expected)
     np.testing.assert_array_equal(result.metrics.com_dlf,
@@ -118,6 +120,7 @@ def test_run_shapes_and_time_indices():
     rows = result.grid.n_steps + 1
     assert result.truth.values.shape == (rows, 50)
     assert result.model_only.shape == (rows, 50)
+    assert result.kf_mean.shape == result.dlf_mean.shape == (rows, 50)
     assert len(result.kf) == rows and len(result.dlf) == rows
     assert [s.time_index for s in result.kf] == list(range(rows))
     assert result.metrics.rmse_kf.shape == (rows,)
@@ -190,6 +193,77 @@ def test_pool_trace_collection():
     for rows in groups.values():
         assert sum(selected for _, selected in rows) == 1
         assert min(rows)[0] == next(variance for variance, selected in rows if selected)
+
+
+# --- lean results: per-step means kept, estimates replayed --------------------------
+
+REPLAY_CFGS = {
+    "ou-sparse": default_config("ou", n_steps=40, space_freq=Fraction(1, 5),
+                                time_freq=Fraction(1, 10)),
+    "accelerating": small_cfg(),
+}
+
+
+@pytest.mark.parametrize("collect_pool_trace", [False, True])
+@pytest.mark.parametrize("name", sorted(REPLAY_CFGS))
+def test_replayed_estimates_equal_the_run(monkeypatch, name, collect_pool_trace):
+    calls = []
+    stepper = harness._steps
+    monkeypatch.setattr(harness, "_steps", lambda *args: calls.append(1) or stepper(*args))
+    result = run_scenario(REPLAY_CFGS[name], collect_pool_trace=collect_pool_trace)
+    assert len(calls) == 1
+    rows = result.grid.n_steps + 1
+    m = result.metrics
+    for states, mean, trace in ((result.kf, result.kf_mean, m.trace_kf),
+                                (result.dlf, result.dlf_mean, m.trace_dlf)):
+        assert [s.time_index for s in states] == list(range(rows))
+        assert np.array_equal(mean, [s.mean for s in states])
+        assert [s.trace for s in states] == trace.tolist()
+    assert len(calls) == 2
+    first_kf, first_dlf = result.kf, result.dlf
+    assert all(a is b for a, b in zip(first_kf, result.kf))
+    assert result.kf is first_kf and result.dlf is first_dlf
+    assert len(calls) == 2  # read again from the cache, not re-run
+
+
+def _arrays(obj, seen=None):
+    """Every numpy array reachable through dataclass fields, lists and tuples."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in _arrays(item, seen)]
+    names = getattr(obj, "__dataclass_fields__", ())
+    return [a for name in names for a in _arrays(getattr(obj, name), seen)]
+
+
+def test_run_result_holds_no_square_matrix():
+    cfg = small_cfg()  # n_steps + 1 < n_points, so a (steps, N) array is smaller than N x N
+    result = run_scenario(cfg, collect_pool_trace=True)
+    n = result.grid.n_points
+    assert cfg.n_steps + 1 < n
+    arrays = _arrays(result)
+    assert any(a is result.kf_mean for a in arrays)
+    assert all(a.size < n * n for a in arrays), [a.shape for a in arrays]
+    assert "_replay" not in vars(result)  # a run does not replay itself
+
+
+def test_run_scenario_peak_memory_is_a_few_covariances():
+    # Before the lean result a run kept two N x N covariances per step: ~208 here.
+    n = 200
+    cfg = default_config("ou", n_points=n, n_steps=100, space_freq=Fraction(1, 5),
+                         time_freq=Fraction(1, 10))
+    tracemalloc.start()
+    try:
+        run_scenario(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    square = n * n * np.dtype(float).itemsize
+    assert peak < 20 * square, f"peak {peak / square:.1f} N x N matrices"
 
 
 # --- sweeps ------------------------------------------------------------------------
