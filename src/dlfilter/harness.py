@@ -90,8 +90,12 @@ class ScenarioConfig:
         if self.present_time is not None and not 0 <= self.present_time <= self.n_steps:
             raise ValueError(f"present_time must lie in [0, n_steps = {self.n_steps}], "
                              f"got {self.present_time}")
-        # A grid or network the values cannot build fails here, not mid-run.
-        build_network(self.grid(), self.space_freq, self.time_freq, self.obs_var)
+        # Truth laws, grid, initial pulse or network the values cannot build
+        # fail here, not mid-run.
+        self.truth_config()
+        grid = self.grid()
+        pulse_profile(grid, self.pulse_center)
+        build_network(grid, self.space_freq, self.time_freq, self.obs_var)
 
     @property
     def last_data_step(self) -> int:

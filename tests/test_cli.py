@@ -87,9 +87,11 @@ def run_cli(*argv):
 @pytest.mark.parametrize("command, config_text, message", [
     ("run", "drift = ou\npresent_time = -5\n", "present_time must lie in [0, n_steps = 200]"),
     ("run", "drift = ou\nspace_freq = 0\n", "spatial frequency 0 does not invert"),
+    ("run", "drift = ou\npulse_center = 7\n", "pulse center must lie inside the domain"),
     ("run", None, "No such file or directory"),
     ("sweep", "drift = ou\nn_steps = 5\n", "xi_list is empty"),
-], ids=["negative-present-time", "zero-space-freq", "missing-config", "empty-xi-list"])
+], ids=["negative-present-time", "zero-space-freq", "pulse-outside-domain", "missing-config",
+        "empty-xi-list"])
 def test_bad_input_is_one_error_line_with_status_2(tmp_path, command, config_text, message):
     config = tmp_path / "scenario.cfg"
     if config_text is not None:
