@@ -11,8 +11,8 @@ import dlfilter
 from dlfilter import cli
 from dlfilter.checks import run_all
 from dlfilter.cli import main
-from dlfilter.kalman import FilterError
 from dlfilter.harness import config_to_flat, default_config, read_table
+from dlfilter.kalman import FilterError
 
 
 @pytest.fixture

@@ -252,7 +252,7 @@ def test_run_result_holds_no_square_matrix():
 
 
 def test_run_scenario_peak_memory_is_a_few_covariances():
-    # Before the lean result a run kept two N x N covariances per step: ~208 here.
+    # Keeping two N x N covariances per step would peak near 200 N x N here.
     n = 200
     cfg = default_config("ou", n_points=n, n_steps=100, space_freq=Fraction(1, 5),
                          time_freq=Fraction(1, 10))
