@@ -60,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.command == "sweep":
-            sweep_configs(cfg, args.xi, args.tau, args.replicates)
+            cells = sweep_configs(cfg, args.xi, args.tau, args.replicates)
     except (ValueError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
@@ -72,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
             print(path)
         return 0
 
-    rows = sweep(cfg, args.xi, args.tau, args.replicates)
+    rows = sweep(cells)
     args.out.mkdir(parents=True, exist_ok=True)
     out_path = args.out / "sweep_summary.csv"
     write_sweep_csv(rows, out_path)

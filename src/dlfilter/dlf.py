@@ -136,15 +136,19 @@ def propagate_variance(pool: Pool, forcing_amp: float, dt: float) -> Pool:
     return replace(pool, variance=pool.variance + forcing_amp ** 2 * dt)
 
 
+def _station(position: np.ndarray, grid: GridSpec) -> np.ndarray:
+    # The one station rule; viability_filter calls it, so project runs once per step.
+    return np.floor(position / grid.dx + _NODE_EPS).astype(np.int64) % grid.n_points
+
+
 def viability_filter(pool: Pool, forecast_cov: np.ndarray, grid: GridSpec) -> Pool:
-    """Drop data whose variance exceeds the forecast variance at the nearest station."""
-    station = np.floor(pool.position / grid.dx + 0.5).astype(np.int64) % grid.n_points
-    return pool.take(pool.variance <= np.diag(forecast_cov)[station])
+    """Drop data whose variance exceeds the forecast variance at their project() station."""
+    return pool.take(pool.variance <= np.diag(forecast_cov)[_station(pool.position, grid)])
 
 
 def project(pool: Pool, grid: GridSpec) -> np.ndarray:
     """Station of each datum: the node at floor(position / dx)."""
-    return np.floor(pool.position / grid.dx + _NODE_EPS).astype(np.int64) % grid.n_points
+    return _station(pool.position, grid)
 
 
 def rank_order(stations: np.ndarray, values: np.ndarray,

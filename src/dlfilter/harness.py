@@ -24,7 +24,7 @@ from . import __version__
 from .core import GridSpec, NoiseSource, StateEstimate, make_grid
 from .dlf import DlfStepResult, LikelihoodAssembly, Pool, dlf_step
 from .kalman import analysis, forecast
-from .model import ModelConfig, model_step
+from .model import ModelConfig, lax_friedrichs_weights, model_step
 from .obsnet import (Observation, build_network, observation_matrix,
                      observations_by_step, sample_observations)
 from .truth import Drift, TruthConfig, TruthField, generate_truth, mean_speed, pulse_profile
@@ -52,7 +52,12 @@ FLOAT_FMT = ".17g"
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything a run needs: physics, discretization, network, seeds."""
+    """Everything a run needs: physics, discretization, network, seeds.
+
+    Making a config checks it and builds the parts a run reads, once:
+    ``truth_config`` (the truth laws), ``grid`` and ``network`` (the
+    observation network). A value that cannot run fails here, not mid-run.
+    """
 
     drift: Drift
     domain_length: float = 2.0
@@ -80,9 +85,12 @@ class ScenarioConfig:
         object.__setattr__(self, "drift", Drift(self.drift))
         object.__setattr__(self, "space_freq", Fraction(self.space_freq))
         object.__setattr__(self, "time_freq", Fraction(self.time_freq))
-        for name in ("model_noise_var", "init_var", "forcing_noise", "speed_noise"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if self.model_noise_var < 0:
+            raise ValueError("model_noise_var must be nonnegative")
         if self.obs_var <= 0:
             raise ValueError("obs_var must be positive")
         if self.model_mode not in ("stochastic", "mean"):
@@ -90,36 +98,26 @@ class ScenarioConfig:
         if self.present_time is not None and not 0 <= self.present_time <= self.n_steps:
             raise ValueError(f"present_time must lie in [0, n_steps = {self.n_steps}], "
                              f"got {self.present_time}")
-        # Truth laws, grid, initial pulse or network the values cannot build
-        # fail here, not mid-run.
-        self.truth_config()
-        grid = self.grid()
+        truth_config = TruthConfig(**{f.name: getattr(self, f.name) for f in fields(TruthConfig)})
+        # dt follows from a reference speed: for OU the largest station speed,
+        # for the accelerating drift a unit speed that base + ramp * sqrt(t) may
+        # outgrow. The mean speed is monotone in t, so the CFL bound holds at
+        # every forecast time once it holds at the first and the last.
+        reference_speed = 1.0 if self.drift is Drift.ACCELERATING else (
+            self.relax_rate * (self.domain_length - self.domain_length / self.n_points))
+        grid = make_grid(self.domain_length, self.n_points, self.cfl, reference_speed,
+                         self.n_steps)
         pulse_profile(grid, self.pulse_center)
-        build_network(grid, self.space_freq, self.time_freq, self.obs_var)
+        network = build_network(grid, self.space_freq, self.time_freq, self.obs_var)
+        for t in (0.0, (grid.n_steps - 1) * grid.dt):
+            lax_friedrichs_weights(grid, mean_speed(truth_config, grid.positions, t))
+        object.__setattr__(self, "truth_config", truth_config)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "network", network)
 
     @property
     def last_data_step(self) -> int:
         return self.n_steps if self.present_time is None else self.present_time
-
-    def truth_config(self) -> TruthConfig:
-        return TruthConfig(drift=self.drift, relax_rate=self.relax_rate,
-                           base_speed=self.base_speed, speed_ramp=self.speed_ramp,
-                           speed_noise=self.speed_noise, forcing_noise=self.forcing_noise,
-                           pulse_center=self.pulse_center, init_var=self.init_var)
-
-    def reference_speed(self) -> float:
-        """Speed bound used by the CFL condition to fix dt.
-
-        OU: the largest station speed at t = 0. Accelerating: a fixed unit
-        reference, which keeps a wide stability margin as the speed grows.
-        """
-        if self.drift is Drift.OU:
-            return self.relax_rate * (self.domain_length - self.domain_length / self.n_points)
-        return 1.0
-
-    def grid(self) -> GridSpec:
-        return make_grid(self.domain_length, self.n_points, self.cfl,
-                         self.reference_speed(), self.n_steps)
 
 
 def default_config(drift: Drift | str, **overrides) -> ScenarioConfig:
@@ -162,7 +160,6 @@ class RunResult:
     """
 
     config: ScenarioConfig
-    grid: GridSpec
     truth: TruthField
     observations: list[Observation]
     model_only: np.ndarray            # (n_steps + 1, n_points)
@@ -171,11 +168,14 @@ class RunResult:
     metrics: MetricTable
     pool_trace: list[tuple] | None = None
 
+    @property
+    def grid(self) -> GridSpec:
+        return self.config.grid
+
     @cached_property
     def _replay(self) -> tuple[list[StateEstimate], list[StateEstimate]]:
         kf, dlf = [], []
-        for _, kf_est, dlf_result in _steps(self.config, self.grid, self.truth,
-                                             self.observations):
+        for _, kf_est, dlf_result in _steps(self.config, self.truth, self.observations):
             kf.append(kf_est)
             dlf.append(dlf_result.estimate)
         return kf, dlf
@@ -222,18 +222,16 @@ def _rmse(estimate: np.ndarray, reference: np.ndarray) -> float:
     return float(np.sqrt(np.mean((estimate - reference) ** 2)))
 
 
-def _steps(cfg: ScenarioConfig, grid: GridSpec, truth: TruthField,
-           observations: list[Observation]):
+def _steps(cfg: ScenarioConfig, truth: TruthField, observations: list[Observation]):
     """Advance the model-only trajectory, the KF and the DLF over one run.
 
     Yields ``(model_row, kf_estimate, dlf_step_result)`` for steps 0 to
     n_steps; step 0 is the initial state, with an empty pool and assembly.
     The same inputs replay the same steps bit for bit.
     """
-    truth_cfg = cfg.truth_config()
-    net = build_network(grid, cfg.space_freq, cfg.time_freq, cfg.obs_var)
+    grid, truth_cfg = cfg.grid, cfg.truth_config
     fresh_by_step = observations_by_step(observations)
-    obs_mat = observation_matrix(net, grid)
+    obs_mat = observation_matrix(cfg.network, grid)
     model_cfg = ModelConfig(noise_var=cfg.model_noise_var)
     model_only_cfg = model_cfg if cfg.model_mode == "stochastic" else ModelConfig(noise_var=0.0)
     model_src = NoiseSource(cfg.seed_model)
@@ -265,10 +263,9 @@ def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False) -> RunRe
 
     Keeps each step's means and covariance traces, not the covariances.
     """
-    grid = cfg.grid()
-    truth = generate_truth(grid, cfg.truth_config(), NoiseSource(cfg.seed_truth))
-    net = build_network(grid, cfg.space_freq, cfg.time_freq, cfg.obs_var)
-    observations = sample_observations(truth, net, NoiseSource(cfg.seed_obs),
+    grid = cfg.grid
+    truth = generate_truth(grid, cfg.truth_config, NoiseSource(cfg.seed_truth))
+    observations = sample_observations(truth, cfg.network, NoiseSource(cfg.seed_obs),
                                        max_step=cfg.last_data_step)
 
     model_only = np.empty_like(truth.values)
@@ -279,7 +276,7 @@ def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False) -> RunRe
     trace_rows: list[tuple] | None = [] if collect_pool_trace else None
 
     for step, (model_row, kf_est, dlf_result) in enumerate(
-            _steps(cfg, grid, truth, observations)):
+            _steps(cfg, truth, observations)):
         model_only[step] = model_row
         kf_mean[step] = kf_est.mean
         dlf_mean[step] = dlf_result.estimate.mean
@@ -294,7 +291,7 @@ def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False) -> RunRe
                 selected.tolist()))
 
     metrics = _compute_metrics(grid, truth, model_only, kf_mean, dlf_mean, trace_kf, trace_dlf)
-    return RunResult(config=cfg, grid=grid, truth=truth, observations=observations,
+    return RunResult(config=cfg, truth=truth, observations=observations,
                      model_only=model_only, kf_mean=kf_mean, dlf_mean=dlf_mean,
                      metrics=metrics, pool_trace=trace_rows)
 
@@ -353,13 +350,13 @@ def sweep_configs(base: ScenarioConfig, xi_list, tau_list,
             for xi in xi_list for tau in tau_list]
 
 
-def sweep(base: ScenarioConfig, xi_list, tau_list, n_replicates: int) -> list[dict]:
-    """Replicate-aggregated metrics over a grid of sampling frequencies."""
+def sweep(cells: list[list[ScenarioConfig]]) -> list[dict]:
+    """Replicate-aggregated metrics per cell of :func:`sweep_configs`."""
     rows = []
-    for cell in sweep_configs(base, xi_list, tau_list, n_replicates):
+    for cell in cells:
         summaries = [summarize_run(run_scenario(cfg)) for cfg in cell]
         row: dict = {"xi": str(cell[0].space_freq), "tau": str(cell[0].time_freq),
-                     "replicates": n_replicates}
+                     "replicates": len(cell)}
         for key in summaries[0]:
             values = [s[key] for s in summaries]
             row[f"mean_{key}"] = float(np.mean(values))
@@ -384,31 +381,19 @@ _CONFIG_PARSERS = {name: _parser(hint)
 
 
 def config_to_flat(cfg: ScenarioConfig) -> dict[str, str]:
-    """Flatten a config to round-trippable strings (repr for floats)."""
-    out = {}
-    for f in fields(ScenarioConfig):
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        if isinstance(value, Drift):
-            out[f.name] = value.value
-        elif isinstance(value, Fraction):
-            out[f.name] = str(value)
-        elif isinstance(value, float):
-            out[f.name] = repr(value)
-        else:
-            out[f.name] = str(value)
-    return out
+    """Flatten a config to round-trippable strings (str of a float is its repr)."""
+    return {f.name: value.value if isinstance(value, Drift) else str(value)
+            for f in fields(ScenarioConfig) if (value := getattr(cfg, f.name)) is not None}
 
 
 def config_from_flat(flat: dict[str, str]) -> ScenarioConfig:
-    """Parse flat key/value strings; unknown keys are rejected."""
+    """Parse flat key/value strings over the drift's defaults; unknown keys are rejected."""
     unknown = set(flat) - set(_CONFIG_PARSERS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if "drift" not in flat:
         raise ValueError("config must set 'drift'")
-    return ScenarioConfig(**{key: _CONFIG_PARSERS[key](str(raw).strip())
+    return default_config(**{key: _CONFIG_PARSERS[key](str(raw).strip())
                              for key, raw in flat.items()})
 
 
@@ -417,6 +402,8 @@ def load_config(path) -> ScenarioConfig:
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
         manifest = json.loads(text)
+        if not isinstance(manifest.get("config"), dict):
+            raise ValueError(f"{path}: a JSON config needs a 'config' object")
         return config_from_flat(manifest["config"])
     flat: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

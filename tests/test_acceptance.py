@@ -22,8 +22,7 @@ from dlfilter.harness import (config_from_flat, default_config, run_scenario,
                               summarize_run, write_outputs)
 from dlfilter.kalman import analysis, forecast
 from dlfilter.model import ModelConfig
-from dlfilter.obsnet import (build_network, observation_matrix, observations_by_step,
-                             sample_observations)
+from dlfilter.obsnet import observation_matrix, observations_by_step, sample_observations
 from dlfilter.truth import generate_truth, mean_speed
 
 N_REPLICATES = 5
@@ -71,10 +70,8 @@ def test_criterion_2_gain_perturbations_never_improve_joseph_trace():
 
 def test_criterion_3_dense_fresh_data_reduces_to_kalman_per_step():
     cfg = default_config("ou")  # xi = tau = 1
-    grid = cfg.grid()
-    truth_cfg = cfg.truth_config()
+    grid, truth_cfg, net = cfg.grid, cfg.truth_config, cfg.network
     truth = generate_truth(grid, truth_cfg, NoiseSource(cfg.seed_truth))
-    net = build_network(grid, 1, 1, cfg.obs_var)
     fresh_by_step = observations_by_step(
         sample_observations(truth, net, NoiseSource(cfg.seed_obs)))
     obs_mat = observation_matrix(net, grid)

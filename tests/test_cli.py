@@ -90,8 +90,19 @@ def run_cli(*argv):
     ("run", "drift = ou\npulse_center = 7\n", "pulse center must lie inside the domain"),
     ("run", None, "No such file or directory"),
     ("sweep", "drift = ou\nn_steps = 5\n", "xi_list is empty"),
+    ("run", "drift = ou\nobs_var = nan\n", "obs_var must be finite, got nan"),
+    ("run", "drift = ou\nmodel_noise_var = inf\n", "model_noise_var must be finite, got inf"),
+    ("run", "drift = ou\ninit_var = nan\n", "init_var must be finite, got nan"),
+    ("run", "drift = ou\nforcing_noise = nan\n", "forcing_noise must be finite, got nan"),
+    ("run", "drift = ou\nrelax_rate = nan\n", "relax_rate must be finite, got nan"),
+    ("run", '{"tool": "dlfilter"}\n', "a JSON config needs a 'config' object"),
+    # the accelerating speed passes the CFL bound at the first step, and late in the run
+    ("run", "drift = accelerating\nbase_speed = 2\n", "CFL violated: max |dt/dx * c| = 1.98"),
+    ("run", "drift = accelerating\nspeed_ramp = 0.6\nn_steps = 400\n", "CFL violated"),
 ], ids=["negative-present-time", "zero-space-freq", "pulse-outside-domain", "missing-config",
-        "empty-xi-list"])
+        "empty-xi-list", "nan-obs-var", "inf-model-noise-var", "nan-init-var",
+        "nan-forcing-noise", "nan-relax-rate", "manifest-without-config", "cfl-at-start",
+        "cfl-late-in-run"])
 def test_bad_input_is_one_error_line_with_status_2(tmp_path, command, config_text, message):
     config = tmp_path / "scenario.cfg"
     if config_text is not None:

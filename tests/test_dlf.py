@@ -138,11 +138,23 @@ def test_viability_drops_degraded_datum():
 def test_viability_uses_nearest_station_variance():
     grid = grid_for()
     cov = 0.08 * np.eye(50)
-    cov[18, 18] = 0.01  # station nearest to position 0.73
+    cov[18, 18] = 0.01  # position 0.73 = 18.25 dx projects to station 18
     keep = live(position=0.73, variance=0.02)
     assert len(viability_filter(keep, cov, grid)) == 0
     cov[18, 18] = 0.05
     assert_pool_equal(viability_filter(keep, cov, grid), keep)
+
+
+def test_viability_judges_a_datum_at_its_projection_station():
+    # at 0.6 dx the nearest station is 1, but project assimilates the datum at 0
+    grid = grid_for()
+    datum = live(position=0.6 * grid.dx, variance=0.02)
+    assert project(datum, grid).tolist() == [0]
+    cov = 0.08 * np.eye(50)
+    cov[0, 0] = 0.01
+    assert len(viability_filter(datum, cov, grid)) == 0
+    cov[0, 0], cov[1, 1] = 0.05, 0.01
+    assert_pool_equal(viability_filter(datum, cov, grid), datum)
 
 
 def test_fresh_datum_survives_standard_noise_levels():
@@ -496,8 +508,8 @@ def reference_pool_stages(entries, now, fresh, forecast_cov, grid, truth_cfg):
 
     survivors = []
     for datum in advanced:
-        nearest = int(math.floor(datum[1] / grid.dx + 0.5)) % grid.n_points
-        if datum[2] <= forecast_cov[nearest, nearest]:
+        station = int(math.floor(datum[1] / grid.dx + 1e-9)) % grid.n_points
+        if datum[2] <= forecast_cov[station, station]:
             survivors.append(datum)
     cap = POOL_CAP_FACTOR * grid.n_points
     survivors = survivors[-cap:]

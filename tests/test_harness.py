@@ -13,7 +13,7 @@ from dlfilter.core import make_grid
 from dlfilter.harness import (ScenarioConfig, _write_table, center_of_mass, circular_distance,
                               config_from_flat, config_to_flat, default_config,
                               load_config, read_table, run_scenario, summarize_run,
-                              sweep, write_outputs, write_sweep_csv)
+                              sweep, sweep_configs, write_outputs, write_sweep_csv)
 from dlfilter.truth import Drift, pulse_profile
 
 
@@ -226,6 +226,20 @@ def test_replayed_estimates_equal_the_run(monkeypatch, name, collect_pool_trace)
     assert len(calls) == 2  # read again from the cache, not re-run
 
 
+def test_runs_read_the_parts_their_config_built(monkeypatch):
+    cfg = small_cfg()
+    cells = sweep_configs(cfg, [Fraction(1, 5)], [Fraction(1, 5)], 2)
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("a run rebuilt a part of its config")
+    for name in ("make_grid", "build_network", "TruthConfig"):
+        monkeypatch.setattr(harness, name, rebuilt)
+    result = run_scenario(cfg)
+    assert result.grid is cfg.grid
+    assert len(result.kf) == len(result.dlf) == cfg.n_steps + 1
+    assert len(sweep(cells)) == 1
+
+
 def _arrays(obj, seen=None):
     """Every numpy array reachable through dataclass fields, lists and tuples."""
     seen = set() if seen is None else seen
@@ -270,7 +284,7 @@ def test_run_scenario_peak_memory_is_a_few_covariances():
 
 def test_single_cell_sweep_matches_run_scenario():
     cfg = small_cfg()
-    rows = sweep(cfg, [Fraction(1, 5)], [Fraction(1, 5)], 1)
+    rows = sweep(sweep_configs(cfg, [Fraction(1, 5)], [Fraction(1, 5)], 1))
     assert len(rows) == 1
     summary = summarize_run(run_scenario(cfg))
     for key, value in summary.items():
@@ -279,7 +293,7 @@ def test_single_cell_sweep_matches_run_scenario():
 
 
 def test_sweep_covers_all_cells():
-    rows = sweep(small_cfg(), [Fraction(1), Fraction(1, 5)], [Fraction(1, 5)], 2)
+    rows = sweep(sweep_configs(small_cfg(), [Fraction(1), Fraction(1, 5)], [Fraction(1, 5)], 2))
     assert [(r["xi"], r["tau"]) for r in rows] == [("1", "1/5"), ("1/5", "1/5")]
     assert all(r["replicates"] == 2 for r in rows)
 
@@ -288,7 +302,7 @@ def test_sweep_covers_all_cells():
                                                       ([Fraction(1)], [], "tau_list")])
 def test_sweep_rejects_an_empty_frequency_list(xi_list, tau_list, empty):
     with pytest.raises(ValueError, match=empty):
-        sweep(small_cfg(), xi_list, tau_list, 1)
+        sweep_configs(small_cfg(), xi_list, tau_list, 1)
 
 
 def test_sweep_replicates_use_distinct_truths():
@@ -329,6 +343,13 @@ def test_config_file_roundtrip(tmp_path):
         assert loaded == cfg
         for f in fields(ScenarioConfig):
             assert type(getattr(loaded, f.name)) is type(getattr(cfg, f.name)), f.name
+
+
+@pytest.mark.parametrize("drift", ["ou", "accelerating"])
+def test_config_file_takes_its_drift_defaults(tmp_path, drift):
+    path = tmp_path / "scenario.cfg"
+    path.write_text(f"drift = {drift}\n")
+    assert load_config(path) == default_config(drift)
 
 
 def test_config_rejects_unknown_keys(tmp_path):

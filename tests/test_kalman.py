@@ -14,17 +14,6 @@ def random_spd(rng, n, scale=1.0):
     return scale * (a @ a.T) + 0.1 * np.eye(n)
 
 
-def condition_oracle(mean, cov, stations, values, obs_var):
-    """Posterior via the joint Gaussian of (state, readings) and a Schur complement."""
-    stations = np.asarray(stations)
-    cross = cov[:, stations]
-    s = cov[np.ix_(stations, stations)] + obs_var * np.eye(stations.size)
-    w = cross @ np.linalg.inv(s)
-    post_mean = mean + w @ (values - mean[stations])
-    post_cov = cov - w @ cross.T
-    return post_mean, 0.5 * (post_cov + post_cov.T)
-
-
 def selector(stations, n):
     h = np.zeros((len(stations), n))
     h[np.arange(len(stations)), stations] = 1.0
@@ -228,7 +217,7 @@ def test_analysis_matches_gaussian_conditioning_oracle():
         est = analysis(StateEstimate(1, mean, cov),
                        obs_block(values, stations, 1, obs_var),
                        selector(stations, n), obs_var)
-        ref_mean, ref_cov = condition_oracle(mean, cov, stations, values, obs_var)
+        ref_mean, ref_cov = condition_on_stations(mean, cov, stations, values, obs_var)
         np.testing.assert_allclose(est.mean, ref_mean, rtol=0, atol=1e-10)
         np.testing.assert_allclose(est.covariance, ref_cov, rtol=0, atol=1e-10)
 
