@@ -14,7 +14,10 @@ from .harness import (load_config, run_scenario, sweep, sweep_configs, write_out
 
 
 def _fraction_list(text: str) -> list[Fraction]:
-    return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+    try:
+        return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+    except ZeroDivisionError:
+        raise ValueError(text) from None  # argparse: invalid _fraction_list value
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,6 +5,7 @@ A measurement made at station z and step m keeps informing later steps: its
 location rides the mean characteristics (semi-Lagrangian), its variance
 inflates with the forcing noise, and at every step the surviving pool is
 projected onto stations, rank-ordered by uncertainty, and assimilated.
+The forecast is the caller's model forecast, the same as the Kalman filter's.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import GridSpec, StateEstimate
-from .kalman import condition, forecast
-from .model import ModelConfig
+from .kalman import condition
 from .obsnet import Observation
 from .truth import TruthConfig, mean_speed
 
@@ -203,22 +203,18 @@ def _join_fresh(pool: Pool, fresh: list[Observation], grid: GridSpec) -> Pool:
                 np.concatenate([pool.origin_time, np.full(len(fresh), pool.time_index)]))
 
 
-def dlf_step(prev: StateEstimate, pool: Pool, fresh: list[Observation],
-             grid: GridSpec, model_cfg: ModelConfig, truth_cfg: TruthConfig) -> DlfStepResult:
-    """One full filter step: forecast, refresh the pool, assemble, analyze.
+def dlf_step(forecast_est: StateEstimate, pool: Pool, fresh: list[Observation],
+             grid: GridSpec, truth_cfg: TruthConfig) -> DlfStepResult:
+    """Assimilate the pool and fresh data into one step's model forecast.
 
-    The pool is advanced one step (positions and variances), fresh
-    measurements join it at their stations, non-viable members are shed, and
-    the survivors are projected and rank-ordered into the assembly used by
-    the multi-analysis. Survivors persist to the next step; the assembly's
-    ``selected`` indexes them.
+    The pool is advanced one step (positions and variances) to the
+    forecast's time, fresh measurements join it at their stations, non-viable
+    members are shed, and the survivors are projected and rank-ordered into
+    the assembly used by the multi-analysis. Survivors persist to the next
+    step; the assembly's ``selected`` indexes them.
     """
-    if pool.time_index != prev.time_index:
-        raise ValueError(f"pool at step {pool.time_index}, expected {prev.time_index}")
-    t_prev = prev.time_index * grid.dt
-    speeds = np.asarray(mean_speed(truth_cfg, grid.positions, t_prev), dtype=float)
-    forecast_est = forecast(prev, grid, model_cfg, speeds)
-
+    if pool.time_index + 1 != forecast_est.time_index:
+        raise ValueError(f"pool at step {pool.time_index}, expected {forecast_est.time_index - 1}")
     advanced = propagate_variance(propagate_observation(pool, grid, truth_cfg),
                                   truth_cfg.forcing_noise, grid.dt)
     survivors = viability_filter(_join_fresh(advanced, fresh, grid),

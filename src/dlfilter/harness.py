@@ -50,6 +50,11 @@ __all__ = [
 FLOAT_FMT = ".17g"
 
 
+def _step_speeds(truth_cfg: TruthConfig, grid: GridSpec, step: int) -> np.ndarray:
+    """The station speeds that drive step ``step``: the mean speed at (step - 1) * dt."""
+    return np.asarray(mean_speed(truth_cfg, grid.positions, (step - 1) * grid.dt), dtype=float)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything a run needs: physics, discretization, network, seeds.
@@ -89,6 +94,8 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+            if f.name.startswith("seed_") and value < 0:
+                raise ValueError(f"{f.name} must be nonnegative, got {value}")
         if self.model_noise_var < 0:
             raise ValueError("model_noise_var must be nonnegative")
         if self.obs_var <= 0:
@@ -102,15 +109,15 @@ class ScenarioConfig:
         # dt follows from a reference speed: for OU the largest station speed,
         # for the accelerating drift a unit speed that base + ramp * sqrt(t) may
         # outgrow. The mean speed is monotone in t, so the CFL bound holds at
-        # every forecast time once it holds at the first and the last.
+        # every step once it holds at the first and the last.
         reference_speed = 1.0 if self.drift is Drift.ACCELERATING else (
             self.relax_rate * (self.domain_length - self.domain_length / self.n_points))
         grid = make_grid(self.domain_length, self.n_points, self.cfl, reference_speed,
                          self.n_steps)
         pulse_profile(grid, self.pulse_center)
         network = build_network(grid, self.space_freq, self.time_freq, self.obs_var)
-        for t in (0.0, (grid.n_steps - 1) * grid.dt):
-            lax_friedrichs_weights(grid, mean_speed(truth_config, grid.positions, t))
+        for step in (1, grid.n_steps):
+            lax_friedrichs_weights(grid, _step_speeds(truth_config, grid, step))
         object.__setattr__(self, "truth_config", truth_config)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "network", network)
@@ -212,19 +219,17 @@ def center_of_mass(field_values: np.ndarray, grid: GridSpec):
     return np.mod(grid.domain_length / (2.0 * math.pi) * angle, grid.domain_length)
 
 
-def circular_distance(a: float, b: float, length: float) -> float:
-    """Shortest periodic distance between two positions on [0, length)."""
-    d = abs(a - b) % length
-    return min(d, length - d)
-
-
-def _rmse(estimate: np.ndarray, reference: np.ndarray) -> float:
-    return float(np.sqrt(np.mean((estimate - reference) ** 2)))
+def circular_distance(a, b, length: float):
+    """Shortest periodic distance between positions on [0, length), elementwise."""
+    d = np.abs(np.subtract(a, b)) % length
+    return np.minimum(d, length - d)
 
 
 def _steps(cfg: ScenarioConfig, truth: TruthField, observations: list[Observation]):
     """Advance the model-only trajectory, the KF and the DLF over one run.
 
+    Each step's station speeds drive the model-only step and the one model
+    forecast of both filters; the filters differ only in what they assimilate.
     Yields ``(model_row, kf_estimate, dlf_step_result)`` for steps 0 to
     n_steps; step 0 is the initial state, with an empty pool and assembly.
     The same inputs replay the same steps bit for bit.
@@ -243,18 +248,15 @@ def _steps(cfg: ScenarioConfig, truth: TruthField, observations: list[Observatio
     yield model_row, kf_est, dlf_result
 
     for step in range(1, grid.n_steps + 1):
-        t_prev = (step - 1) * grid.dt
-        speeds = np.asarray(mean_speed(truth_cfg, grid.positions, t_prev), dtype=float)
-
+        speeds = _step_speeds(truth_cfg, grid, step)
         model_row = model_step(model_row, grid, model_only_cfg, speeds, model_src)
-
         kf_est = forecast(kf_est, grid, model_cfg, speeds)
+        dlf_prior = forecast(dlf_result.estimate, grid, model_cfg, speeds)
+
         fresh = fresh_by_step.get(step, [])
         if fresh:
             kf_est = analysis(kf_est, fresh, obs_mat, cfg.obs_var)
-
-        dlf_result = dlf_step(dlf_result.estimate, dlf_result.pool, fresh, grid, model_cfg,
-                              truth_cfg)
+        dlf_result = dlf_step(dlf_prior, dlf_result.pool, fresh, grid, truth_cfg)
         yield model_row, kf_est, dlf_result
 
 
@@ -298,15 +300,14 @@ def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False) -> RunRe
 
 def _compute_metrics(grid, truth, model_only, kf_mean, dlf_mean, trace_kf,
                      trace_dlf) -> MetricTable:
-    rows = grid.n_steps + 1
     com_truth, com_model, com_kf, com_dlf = (
         center_of_mass(values, grid) for values in (truth.values, model_only, kf_mean, dlf_mean))
     return MetricTable(
         com_truth=com_truth, com_model=com_model, com_kf=com_kf, com_dlf=com_dlf,
         trace_kf=trace_kf, trace_dlf=trace_dlf,
-        rmse_model=np.array([_rmse(model_only[n], truth.values[n]) for n in range(rows)]),
-        rmse_kf=np.array([_rmse(kf_mean[n], truth.values[n]) for n in range(rows)]),
-        rmse_dlf=np.array([_rmse(dlf_mean[n], truth.values[n]) for n in range(rows)]),
+        rmse_model=np.sqrt(np.mean((model_only - truth.values) ** 2, axis=1)),
+        rmse_kf=np.sqrt(np.mean((kf_mean - truth.values) ** 2, axis=1)),
+        rmse_dlf=np.sqrt(np.mean((dlf_mean - truth.values) ** 2, axis=1)),
         final_diff_model=model_only[-1] - truth.values[-1],
         final_diff_kf=kf_mean[-1] - truth.values[-1],
         final_diff_dlf=dlf_mean[-1] - truth.values[-1],
@@ -317,8 +318,7 @@ def summarize_run(result: RunResult) -> dict[str, float]:
     """Scalar per-run summaries used by sweeps and comparisons."""
     m = result.metrics
     length = result.grid.domain_length
-    com_err = lambda series: float(np.mean([circular_distance(a, b, length)
-                                            for a, b in zip(series, m.com_truth)]))
+    com_err = lambda series: float(np.mean(circular_distance(series, m.com_truth, length)))
     return {
         "rmse_model": float(np.mean(m.rmse_model)),
         "rmse_kf": float(np.mean(m.rmse_kf)),
@@ -386,6 +386,13 @@ def config_to_flat(cfg: ScenarioConfig) -> dict[str, str]:
             for f in fields(ScenarioConfig) if (value := getattr(cfg, f.name)) is not None}
 
 
+def _parse(key: str, raw):
+    try:
+        return _CONFIG_PARSERS[key](str(raw).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"{key} = {raw}: zero denominator") from None
+
+
 def config_from_flat(flat: dict[str, str]) -> ScenarioConfig:
     """Parse flat key/value strings over the drift's defaults; unknown keys are rejected."""
     unknown = set(flat) - set(_CONFIG_PARSERS)
@@ -393,8 +400,7 @@ def config_from_flat(flat: dict[str, str]) -> ScenarioConfig:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if "drift" not in flat:
         raise ValueError("config must set 'drift'")
-    return default_config(**{key: _CONFIG_PARSERS[key](str(raw).strip())
-                             for key, raw in flat.items()})
+    return default_config(**{key: _parse(key, raw) for key, raw in flat.items()})
 
 
 def load_config(path) -> ScenarioConfig:

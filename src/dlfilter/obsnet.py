@@ -25,14 +25,12 @@ __all__ = [
 class ObsNetwork:
     """Where and when measurements are taken, and how noisy they are.
 
-    ``spatial_freq`` = 1/s selects every s-th station starting at index 0;
-    ``temporal_freq`` = 1/q yields an acquisition every q model steps,
-    starting at step q.
+    Measurements are taken at ``station_indices`` every ``step_stride`` model
+    steps, starting at step ``step_stride``.
     """
 
     station_indices: tuple[int, ...]
-    spatial_freq: Fraction
-    temporal_freq: Fraction
+    step_stride: int
     noise_var: float
 
     def __post_init__(self):
@@ -45,10 +43,6 @@ class ObsNetwork:
     @property
     def n_stations(self) -> int:
         return len(self.station_indices)
-
-    @property
-    def step_stride(self) -> int:
-        return int(1 / self.temporal_freq)
 
 
 @dataclass(frozen=True)
@@ -74,14 +68,13 @@ def _stride(freq, name: str) -> int:
 
 
 def build_network(grid: GridSpec, xi, tau, noise_var: float) -> ObsNetwork:
-    """Select every (1/xi)-th station and every (1/tau)-th step."""
+    """Select every (1/xi)-th station, starting at index 0, and every (1/tau)-th step."""
     space_stride = _stride(xi, "spatial frequency")
-    step_stride = _stride(tau, "temporal frequency")
     if space_stride > grid.n_points:
         raise ValueError("spatial stride exceeds the number of stations")
-    stations = tuple(range(0, grid.n_points, space_stride))
-    return ObsNetwork(station_indices=stations, spatial_freq=Fraction(xi),
-                      temporal_freq=Fraction(tau), noise_var=float(noise_var))
+    return ObsNetwork(station_indices=tuple(range(0, grid.n_points, space_stride)),
+                      step_stride=_stride(tau, "temporal frequency"),
+                      noise_var=float(noise_var))
 
 
 def sample_observations(truth: TruthField, net: ObsNetwork, src: NoiseSource,

@@ -88,8 +88,9 @@ def test_criterion_3_dense_fresh_data_reduces_to_kalman_per_step():
         kf_est = analysis(forecast(kf_est, grid, model_cfg, speeds),
                           fresh_by_step[step], obs_mat, cfg.obs_var)
         # fresh-only pool: past data is withheld on purpose
-        dlf_est = dlf_step(dlf_est, Pool.empty(dlf_est.time_index), fresh_by_step[step],
-                           grid, model_cfg, truth_cfg).estimate
+        dlf_est = dlf_step(forecast(dlf_est, grid, model_cfg, speeds),
+                           Pool.empty(dlf_est.time_index), fresh_by_step[step],
+                           grid, truth_cfg).estimate
         worst = max(worst,
                     float(np.abs(kf_est.mean - dlf_est.mean).max()),
                     float(np.abs(kf_est.covariance - dlf_est.covariance).max()))

@@ -99,20 +99,40 @@ def run_cli(*argv):
     # the accelerating speed passes the CFL bound at the first step, and late in the run
     ("run", "drift = accelerating\nbase_speed = 2\n", "CFL violated: max |dt/dx * c| = 1.98"),
     ("run", "drift = accelerating\nspeed_ramp = 0.6\nn_steps = 400\n", "CFL violated"),
+    ("run", "drift = ou\nseed_truth = -1\n", "seed_truth must be nonnegative, got -1"),
+    ("sweep --xi 1 --tau 1", "drift = ou\nseed_obs = -3\n", "seed_obs must be nonnegative, got -3"),
+    ("run", "drift = ou\nspace_freq = 1/0\n", "space_freq = 1/0: zero denominator"),
+    # flag values are argparse's to report, after its usage lines
+    ("sweep --xi 1/0 --tau 1", "drift = ou\n",
+     "dlfilter sweep: error: argument --xi: invalid _fraction_list value: '1/0'"),
+    ("sweep --xi 1 --tau 1/0", "drift = ou\n",
+     "dlfilter sweep: error: argument --tau: invalid _fraction_list value: '1/0'"),
+    ("sweep --xi abc --tau 1", "drift = ou\n",
+     "dlfilter sweep: error: argument --xi: invalid _fraction_list value: 'abc'"),
 ], ids=["negative-present-time", "zero-space-freq", "pulse-outside-domain", "missing-config",
         "empty-xi-list", "nan-obs-var", "inf-model-noise-var", "nan-init-var",
         "nan-forcing-noise", "nan-relax-rate", "manifest-without-config", "cfl-at-start",
-        "cfl-late-in-run"])
+        "cfl-late-in-run", "negative-seed-truth", "negative-seed-obs-in-sweep",
+        "zero-denominator-in-file", "zero-denominator-xi", "zero-denominator-tau",
+        "unparsable-xi"])
 def test_bad_input_is_one_error_line_with_status_2(tmp_path, command, config_text, message):
     config = tmp_path / "scenario.cfg"
     if config_text is not None:
         config.write_text(config_text)
-    extra = ["--xi", "", "--tau", "1"] if command == "sweep" else []
+    command, *extra = command.split()
+    if command == "sweep" and not extra:
+        extra = ["--xi", "", "--tau", "1"]
     status, err = run_cli(command, "--config", str(config), *extra, "--out", str(tmp_path / "out"))
     assert status == 2
     assert "Traceback" not in err
-    assert err.count("\n") == 1 and err.startswith("dlfilter: error: ")
-    assert message in err
+    if message.startswith("dlfilter sweep: error: argument "):
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: dlfilter sweep ")
+        assert [line for line in lines if "error:" in line] == [message]
+        assert lines[-1] == message and err.endswith("\n")
+    else:
+        assert err.count("\n") == 1 and err.startswith("dlfilter: error: ")
+        assert message in err
     assert not (tmp_path / "out").exists()
 
 

@@ -40,6 +40,13 @@ def assert_pool_equal(a, b):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
+def model_forecast(est, grid, truth_cfg, model_cfg):
+    """The stepper's forecast of ``est``: one model step at the mean station speeds."""
+    speeds = np.asarray(mean_speed(truth_cfg, grid.positions, est.time_index * grid.dt),
+                        dtype=float)
+    return forecast(est, grid, model_cfg, speeds)
+
+
 def random_spd(rng, n):
     a = rng.standard_normal((n, n))
     return a @ a.T + 0.1 * np.eye(n)
@@ -225,14 +232,15 @@ def test_dlf_step_variance_ties_go_to_the_earlier_pool_entry():
     model_cfg = ModelConfig(noise_var=0.08)
     # two pooled data at one station with equal variance: the older entry wins
     pool = pool_of((1.0, 2.0), (0.0, 0.0), (0.02, 0.02))
-    result = dlf_step(est, pool, [], grid, model_cfg, cfg)
+    prior = model_forecast(est, grid, cfg, model_cfg)
+    result = dlf_step(prior, pool, [], grid, cfg)
     assert result.assembly.informed_stations.tolist() == [0]
     assert result.assembly.selected.tolist() == [0]
     assert result.assembly.projected_values.tolist() == [1.0]
     # a fresh datum at that station carries less variance than the inflated
     # pooled ones and wins, although it joins the pool last
     fresh = [Observation(value=3.0, station=0, time_index=1, variance=0.02)]
-    result = dlf_step(est, pool, fresh, grid, model_cfg, cfg)
+    result = dlf_step(prior, pool, fresh, grid, cfg)
     assert result.assembly.selected.tolist() == [2]
     assert result.assembly.projected_values.tolist() == [3.0]
     assert result.assembly.projected_variances.tolist() == [0.02]
@@ -415,7 +423,7 @@ def test_dlf_step_without_data_is_pure_forecast():
     reference = est
     pool = Pool.empty(0)
     for step in range(20):
-        result = dlf_step(est, pool, [], grid, model_cfg, cfg)
+        result = dlf_step(model_forecast(est, grid, cfg, model_cfg), pool, [], grid, cfg)
         est, pool = result.estimate, result.pool
         speeds = np.asarray(mean_speed(cfg, grid.positions, step * grid.dt), dtype=float)
         reference = forecast(reference, grid, model_cfg, speeds)
@@ -425,6 +433,17 @@ def test_dlf_step_without_data_is_pure_forecast():
         assert len(result.assembly) == 0
 
 
+def test_dlf_step_without_data_returns_the_forecast_it_was_given():
+    rng = np.random.default_rng(3)
+    forecast_est = StateEstimate(7, rng.standard_normal(50), random_spd(rng, 50))
+    result = dlf_step(forecast_est, Pool.empty(6), [], grid_for(), flow_cfg())
+    assert result.estimate.time_index == 7
+    np.testing.assert_array_equal(result.estimate.mean, forecast_est.mean)
+    np.testing.assert_array_equal(result.estimate.covariance, forecast_est.covariance)
+    assert len(result.assembly) == 0
+    assert len(result.pool) == 0 and result.pool.time_index == 7
+
+
 def test_dlf_step_fresh_beats_propagated_at_same_station():
     grid = grid_for()
     cfg = flow_cfg()
@@ -432,7 +451,8 @@ def test_dlf_step_fresh_beats_propagated_at_same_station():
     stale = live(value=5.0, position=0.0, variance=0.02, origin=0, current=0)
     fresh = [Observation(value=1.0, station=0, time_index=1, variance=0.02)]
     # the stale datum barely moves (speed 0.1 * dt 0.0396 << dx), so both land on station 0
-    result = dlf_step(est, stale, fresh, grid, ModelConfig(noise_var=0.08), cfg)
+    result = dlf_step(model_forecast(est, grid, cfg, ModelConfig(noise_var=0.08)), stale, fresh,
+                      grid, cfg)
     assert result.assembly.informed_stations.tolist() == [0]
     winner = result.assembly.selected[0]
     assert result.pool.origin_time[winner] == 1
@@ -457,7 +477,8 @@ def test_dlf_step_pool_carries_data_between_acquisitions():
             fresh = [Observation(value=float(rng.standard_normal()), station=s,
                                  time_index=step, variance=0.02)
                      for s in range(0, 50, 5)]
-        result = dlf_step(est, pool, fresh, grid, ModelConfig(noise_var=0.08), cfg)
+        prior = model_forecast(est, grid, cfg, ModelConfig(noise_var=0.08))
+        result = dlf_step(prior, pool, fresh, grid, cfg)
         est, pool = result.estimate, result.pool
         if step % 10 != 0 and step > 10:
             assert len(result.assembly) > 0
@@ -470,10 +491,13 @@ def test_dlf_step_pool_carries_data_between_acquisitions():
 
 def test_dlf_step_rejects_misaligned_pool():
     grid = grid_for()
-    est = StateEstimate(0, np.zeros(50), 0.02 * np.eye(50))
+    forecast_est = StateEstimate(1, np.zeros(50), 0.02 * np.eye(50))
     stale = live(current=3, origin=2)
     with pytest.raises(ValueError):
-        dlf_step(est, stale, [], grid, ModelConfig(), flow_cfg())
+        dlf_step(forecast_est, stale, [], grid, flow_cfg())
+    # the pool must be one step behind the forecast, not at its step
+    with pytest.raises(ValueError):
+        dlf_step(forecast_est, live(current=1, origin=1), [], grid, flow_cfg())
 
 
 def test_dlf_step_enforces_pool_cap():
@@ -482,7 +506,8 @@ def test_dlf_step_enforces_pool_cap():
     est = StateEstimate(0, np.zeros(50), 10.0 * np.eye(50))
     pool = pool_of([float(k) for k in range(250)], [(k * 0.007) % 2.0 for k in range(250)],
                    [0.02] * 250)
-    result = dlf_step(est, pool, [], grid, ModelConfig(noise_var=0.08), cfg)
+    result = dlf_step(model_forecast(est, grid, cfg, ModelConfig(noise_var=0.08)), pool, [],
+                      grid, cfg)
     assert len(result.pool) == 200  # 4x the station count, oldest evicted
     assert np.all(result.pool.value >= 50.0)
 
@@ -572,13 +597,11 @@ def test_array_pool_stages_equal_per_datum_reference(case):
     columns = list(zip(*entries)) or [()] * 4
     pool = pool_of(*columns, time_index=now - 1)
     prev = StateEstimate(now - 1, np.zeros(grid.n_points), np.diag(forecast_var))
-    model_cfg = ModelConfig(noise_var=0.01)
-    result = dlf_step(prev, pool, fresh, grid, model_cfg, truth_cfg)
+    forecast_est = model_forecast(prev, grid, truth_cfg, ModelConfig(noise_var=0.01))
+    result = dlf_step(forecast_est, pool, fresh, grid, truth_cfg)
 
-    speeds = np.asarray(mean_speed(truth_cfg, grid.positions, (now - 1) * grid.dt), dtype=float)
-    forecast_cov = forecast(prev, grid, model_cfg, speeds).covariance
-    survivors, stations, winners = reference_pool_stages(entries, now, fresh, forecast_cov,
-                                                         grid, truth_cfg)
+    survivors, stations, winners = reference_pool_stages(entries, now, fresh,
+                                                         forecast_est.covariance, grid, truth_cfg)
 
     assert result.pool.time_index == now
     assert result.pool.value.tolist() == [d[0] for d in survivors]

@@ -8,13 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dlfilter import harness
+from dlfilter import dlf, harness
 from dlfilter.core import make_grid
 from dlfilter.harness import (ScenarioConfig, _write_table, center_of_mass, circular_distance,
                               config_from_flat, config_to_flat, default_config,
                               load_config, read_table, run_scenario, summarize_run,
                               sweep, sweep_configs, write_outputs, write_sweep_csv)
-from dlfilter.truth import Drift, pulse_profile
+from dlfilter.truth import Drift, mean_speed, pulse_profile
 
 
 def small_cfg(**kw):
@@ -238,6 +238,26 @@ def test_runs_read_the_parts_their_config_built(monkeypatch):
     assert result.grid is cfg.grid
     assert len(result.kf) == len(result.dlf) == cfg.n_steps + 1
     assert len(sweep(cells)) == 1
+
+
+def test_one_station_speed_field_per_step(monkeypatch):
+    # the CFL check at load and the run (model-only step, both filter
+    # forecasts) all read the station speeds of step n at (n - 1) * dt
+    stations = small_cfg().grid.positions
+    times = []
+
+    def counted(truth_cfg, x, t):
+        if np.shape(x) == stations.shape and np.array_equal(x, stations):
+            times.append(t)
+        return mean_speed(truth_cfg, x, t)
+    for module in (harness, dlf):
+        monkeypatch.setattr(module, "mean_speed", counted)
+    cfg = small_cfg()
+    step_times = [(step - 1) * cfg.grid.dt for step in range(1, cfg.n_steps + 1)]
+    assert times == [step_times[0], step_times[-1]]
+    times.clear()
+    run_scenario(cfg)
+    assert times == step_times
 
 
 def _arrays(obj, seen=None):
