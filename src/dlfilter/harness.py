@@ -96,6 +96,8 @@ class ScenarioConfig:
                 raise ValueError(f"{f.name} must be finite, got {value}")
             if f.name.startswith("seed_") and value < 0:
                 raise ValueError(f"{f.name} must be nonnegative, got {value}")
+        if self.n_points < 2:  # before the OU reference speed divides by it
+            raise ValueError("n_points must be at least 2")
         if self.model_noise_var < 0:
             raise ValueError("model_noise_var must be nonnegative")
         if self.obs_var <= 0:
@@ -181,10 +183,11 @@ class RunResult:
 
     @cached_property
     def _replay(self) -> tuple[list[StateEstimate], list[StateEstimate]]:
+        # The stepper reuses a covariance's buffer on the next step: keep copies.
         kf, dlf = [], []
         for _, kf_est, dlf_result in _steps(self.config, self.truth, self.observations):
-            kf.append(kf_est)
-            dlf.append(dlf_result.estimate)
+            for kept, est in ((kf, kf_est), (dlf, dlf_result.estimate)):
+                kept.append(replace(est, covariance=est.covariance.copy()))
         return kf, dlf
 
     @property
@@ -233,6 +236,10 @@ def _steps(cfg: ScenarioConfig, truth: TruthField, observations: list[Observatio
     Yields ``(model_row, kf_estimate, dlf_step_result)`` for steps 0 to
     n_steps; step 0 is the initial state, with an empty pool and assembly.
     The same inputs replay the same steps bit for bit.
+
+    Each filter forecasts into its last estimate's covariance buffer, so a
+    yielded covariance is valid only until the next step; a consumer that
+    keeps one keeps a copy.
     """
     grid, truth_cfg = cfg.grid, cfg.truth_config
     fresh_by_step = observations_by_step(observations)
@@ -244,14 +251,17 @@ def _steps(cfg: ScenarioConfig, truth: TruthField, observations: list[Observatio
     model_row = pulse_profile(grid, cfg.pulse_center)
     kf_est = StateEstimate(time_index=0, mean=model_row,
                            covariance=cfg.init_var * np.eye(grid.n_points))
-    dlf_result = DlfStepResult(kf_est, Pool.empty(time_index=0), LikelihoodAssembly.empty())
+    # The filters own their buffers from here on: the DLF starts on a copy.
+    dlf_result = DlfStepResult(replace(kf_est, covariance=kf_est.covariance.copy()),
+                               Pool.empty(time_index=0), LikelihoodAssembly.empty())
     yield model_row, kf_est, dlf_result
 
     for step in range(1, grid.n_steps + 1):
         speeds = _step_speeds(truth_cfg, grid, step)
         model_row = model_step(model_row, grid, model_only_cfg, speeds, model_src)
-        kf_est = forecast(kf_est, grid, model_cfg, speeds)
-        dlf_prior = forecast(dlf_result.estimate, grid, model_cfg, speeds)
+        kf_est = forecast(kf_est, grid, model_cfg, speeds, out=kf_est.covariance)
+        dlf_prior = forecast(dlf_result.estimate, grid, model_cfg, speeds,
+                             out=dlf_result.estimate.covariance)
 
         fresh = fresh_by_step.get(step, [])
         if fresh:
@@ -391,6 +401,8 @@ def _parse(key: str, raw):
         return _CONFIG_PARSERS[key](str(raw).strip())
     except ZeroDivisionError:
         raise ValueError(f"{key} = {raw}: zero denominator") from None
+    except ValueError as exc:
+        raise ValueError(f"{key} = {raw}: {exc}") from None
 
 
 def config_from_flat(flat: dict[str, str]) -> ScenarioConfig:
@@ -427,19 +439,25 @@ def load_config(path) -> ScenarioConfig:
 
 # ---------------------------------------------------------------------------
 # Outputs: every CSV file is a header line, then one line per row, each line
-# ending in "\r\n"; float cells carry FLOAT_FMT, other cells their str().
-
-def _cell(value) -> str:
-    return format(value, FLOAT_FMT) if isinstance(value, float) else str(value)
-
+# ending in "\r\n"; float cells carry FLOAT_FMT, other cells their str(). No
+# cell holds a comma, quote or line break, so no cell is quoted.
 
 def _write_table(path, header, rows) -> Path:
-    """Write one table, streaming ``rows`` (an iterable of cell sequences)."""
+    """Write one table, streaming ``rows`` (an iterable of cell sequences).
+
+    Every row has the first row's cell types, so one line template, made
+    from the first row, formats the whole table.
+    """
     path = Path(path)
+    rows = iter(rows)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(map(_cell, row) for row in rows)
+        handle.write(",".join(header) + "\r\n")
+        first = next(rows, None)
+        if first is not None:
+            line = ",".join("%" + FLOAT_FMT if isinstance(cell, float) else "%s"
+                            for cell in first) + "\r\n"
+            handle.write(line % tuple(first))
+            handle.writelines(line % tuple(row) for row in rows)
     return path
 
 

@@ -34,44 +34,70 @@ def _apply_transition(right: np.ndarray, left: np.ndarray, x: np.ndarray,
     out += work
 
 
+_WORKSPACE = [np.empty(0), np.empty(0)]
+
+
+def _workspace(slot: int, shape: tuple[int, int]) -> np.ndarray:
+    """A C-contiguous scratch array of ``shape`` in one of the two workspace slots.
+
+    Each slot is one flat buffer that grows to the largest size asked of it
+    and is then reused, so forecasts and conditionings at one N map no N x N
+    temporaries after the first. Nothing returned to a caller lives here:
+    each function is done with the workspace when it returns. The workspace
+    is shared, so the filters run in one thread at a time.
+    """
+    size = shape[0] * shape[1]
+    if _WORKSPACE[slot].size < size:
+        _WORKSPACE[slot] = np.empty(size)
+    return _WORKSPACE[slot][:size].reshape(shape)
+
+
 def forecast(prev: StateEstimate, grid: GridSpec, model_cfg: ModelConfig,
-             speeds: np.ndarray) -> StateEstimate:
+             speeds: np.ndarray, out: np.ndarray | None = None) -> StateEstimate:
     """One forecast step of the filter through the Lax-Friedrichs model.
 
     Returns (T m, T P T^T + noise_var * I), the covariance symmetrized. The
     mean is the model's own advection product, as in ``model_step``. T has
     two diagonals, so T P T^T costs O(N^2): T is applied to the rows of P,
     then to the columns of the result.
+
+    The covariance is written to ``out`` (a new array if None). ``out`` may
+    be ``prev.covariance`` itself: P is read in full before ``out`` is
+    written, so a caller done with ``prev`` can forecast into its buffer.
     """
     mean = lax_friedrichs_matrix(grid, speeds) @ prev.mean
     right, left = lax_friedrichs_weights(grid, speeds)
-    # The returned covariance is allocated before the work buffers: a
-    # long-lived array placed among short-lived ones fragments the heap, and
-    # a replay (RunResult.kf) keeps one covariance per step.
-    cov = np.empty_like(prev.covariance)
-    rows = np.empty_like(cov)
-    work = np.empty_like(cov)
+    shape = prev.covariance.shape
+    cov = np.empty(shape) if out is None else out
+    rows, work = _workspace(0, shape), _workspace(1, shape)
     _apply_transition(right, left, prev.covariance, rows, work)
     _apply_transition(right, left, rows.T, cov.T, work.T)
     np.add(cov, cov.T, out=rows)
     np.multiply(rows, 0.5, out=cov)
-    cov.flat[::cov.shape[0] + 1] += model_cfg.noise_var  # the diagonal
+    cov.flat[::shape[0] + 1] += model_cfg.noise_var  # the diagonal
     return StateEstimate(time_index=prev.time_index + 1, mean=mean, covariance=cov)
 
 
 def _whiten(cov: np.ndarray, stations: np.ndarray, variances,
             time_index: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factor L of P[S, S] + diag(r), and W = L^-1 P[S, :]."""
+    """Cholesky factor L of P[S, S] + diag(r), and W = L^-1 P[S, :].
+
+    P must be symmetric: P[S, :] is read as the transpose of the gathered
+    columns P[:, S]. W is a (k, N) view of workspace slot 0.
+    """
     if stations.size == 0:
         raise ValueError("conditioning needs at least one reading")
-    restricted = cov[np.ix_(stations, stations)]
+    columns = np.take(cov, stations, axis=1, out=_workspace(0, (cov.shape[0], stations.size)))
+    restricted = columns[stations]
     restricted.flat[::stations.size + 1] += variances  # the diagonal
     try:
         factor = scipy.linalg.cholesky(restricted, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         where = "" if time_index is None else f" at time index {time_index}"
         raise FilterError(f"innovation covariance not positive definite{where}") from exc
-    return factor, scipy.linalg.solve_triangular(factor, cov[stations], lower=True)
+    # columns.T is Fortran-ordered, so the solve runs in place in the workspace.
+    return factor, scipy.linalg.solve_triangular(factor, columns.T, lower=True,
+                                                 overwrite_b=True)
 
 
 def condition(mean: np.ndarray, cov: np.ndarray, stations, values, variances,
@@ -86,16 +112,15 @@ def condition(mean: np.ndarray, cov: np.ndarray, stations, values, variances,
 
     in O(N^2 k). ``W.T @ W`` is a symmetric rank-k product, so the posterior
     covariance is exactly symmetric whenever P is (factorized update, after
-    Bierman 1977). ``time_index`` only labels a failed factorization.
+    Bierman 1977). Both results are new arrays. ``time_index`` only labels a
+    failed factorization.
     """
-    post_cov = np.empty_like(cov)  # allocated first, as in forecast
     stations = np.asarray(stations, dtype=np.int64)
     factor, weights = _whiten(cov, stations, variances, time_index)
     innovation = np.asarray(values, dtype=float) - mean[stations]
     post_mean = mean + weights.T @ scipy.linalg.solve_triangular(factor, innovation, lower=True)
-    np.matmul(weights.T, weights, out=post_cov)
-    np.subtract(cov, post_cov, out=post_cov)
-    return post_mean, post_cov
+    product = np.matmul(weights.T, weights, out=_workspace(1, cov.shape))
+    return post_mean, np.subtract(cov, product)
 
 
 def gain_columns(cov: np.ndarray, stations, variances) -> np.ndarray:

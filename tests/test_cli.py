@@ -76,12 +76,16 @@ def test_self_checks_all_pass():
         assert result.passed, f"{result.name}: {result.detail}"
 
 
-def run_cli(*argv):
-    """``python -m dlfilter argv`` in a fresh process: (status, stderr)."""
+def test_bad_input_in_a_fresh_process(tmp_path):
+    # python -m dlfilter turns main's status into the process exit status
     env = dict(os.environ, PYTHONPATH=str(Path(dlfilter.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-m", "dlfilter", *argv], env=env,
-                          capture_output=True, text=True)
-    return done.returncode, done.stderr
+    done = subprocess.run([sys.executable, "-m", "dlfilter", "run", "--config",
+                           str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("dlfilter: error: ")
+    assert "No such file or directory" in done.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, config_text, message", [
@@ -102,6 +106,9 @@ def run_cli(*argv):
     ("run", "drift = ou\nseed_truth = -1\n", "seed_truth must be nonnegative, got -1"),
     ("sweep --xi 1 --tau 1", "drift = ou\nseed_obs = -3\n", "seed_obs must be nonnegative, got -3"),
     ("run", "drift = ou\nspace_freq = 1/0\n", "space_freq = 1/0: zero denominator"),
+    ("run", "drift = ou\nn_points = 0\n", "n_points must be at least 2"),
+    ("run", "drift = ou\nn_steps = 2.5\n", "n_steps = 2.5: "),
+    ("run", "drift = ou\nseed_obs = 1.5\n", "seed_obs = 1.5: "),
     # flag values are argparse's to report, after its usage lines
     ("sweep --xi 1/0 --tau 1", "drift = ou\n",
      "dlfilter sweep: error: argument --xi: invalid _fraction_list value: '1/0'"),
@@ -113,16 +120,23 @@ def run_cli(*argv):
         "empty-xi-list", "nan-obs-var", "inf-model-noise-var", "nan-init-var",
         "nan-forcing-noise", "nan-relax-rate", "manifest-without-config", "cfl-at-start",
         "cfl-late-in-run", "negative-seed-truth", "negative-seed-obs-in-sweep",
-        "zero-denominator-in-file", "zero-denominator-xi", "zero-denominator-tau",
-        "unparsable-xi"])
-def test_bad_input_is_one_error_line_with_status_2(tmp_path, command, config_text, message):
+        "zero-denominator-in-file", "zero-ou-points", "fractional-n-steps",
+        "fractional-seed", "zero-denominator-xi", "zero-denominator-tau", "unparsable-xi"])
+def test_bad_input_is_one_error_line_with_status_2(tmp_path, capsys, command, config_text,
+                                                   message):
     config = tmp_path / "scenario.cfg"
     if config_text is not None:
         config.write_text(config_text)
     command, *extra = command.split()
     if command == "sweep" and not extra:
         extra = ["--xi", "", "--tau", "1"]
-    status, err = run_cli(command, "--config", str(config), *extra, "--out", str(tmp_path / "out"))
+    # in-process: a bad flag ends in argparse's SystemExit, a bad config in main's
+    # return value, and any other exception fails the test
+    try:
+        status = main([command, "--config", str(config), *extra, "--out", str(tmp_path / "out")])
+    except SystemExit as exc:
+        status = exc.code
+    err = capsys.readouterr().err
     assert status == 2
     assert "Traceback" not in err
     if message.startswith("dlfilter sweep: error: argument "):

@@ -226,6 +226,21 @@ def test_replayed_estimates_equal_the_run(monkeypatch, name, collect_pool_trace)
     assert len(calls) == 2  # read again from the cache, not re-run
 
 
+def test_replayed_covariances_are_copies_of_an_allocating_run(monkeypatch):
+    # the stepper forecasts into the last covariance's buffer; the replay keeps copies
+    cfg = REPLAY_CFGS["ou-sparse"]
+    result = run_scenario(cfg)
+    covariances = [s.covariance for s in result.kf + result.dlf]
+    for k, cov in enumerate(covariances):
+        assert not any(np.shares_memory(cov, other) for other in covariances[k + 1:])
+    forecast = harness.forecast
+    monkeypatch.setattr(harness, "forecast", lambda *args, out=None: forecast(*args))
+    reference = run_scenario(cfg)
+    for cov, ref in zip(covariances, [s.covariance for s in reference.kf + reference.dlf],
+                        strict=True):
+        np.testing.assert_array_equal(cov, ref)
+
+
 def test_runs_read_the_parts_their_config_built(monkeypatch):
     cfg = small_cfg()
     cells = sweep_configs(cfg, [Fraction(1, 5)], [Fraction(1, 5)], 2)
@@ -441,6 +456,22 @@ def test_table_format_golden_bytes(tmp_path):
     assert header == ["n", "v"]
     np.testing.assert_array_equal(values[:, 0], np.arange(len(rows)))
     assert _bits(values[:, 1]) == _bits(GOLDEN_FLOATS)
+
+
+def test_sweep_row_of_str_int_and_float_cells(tmp_path):
+    # one line template per table: a float cell written with %s would lose digits,
+    # a str cell formatted as a float would not write at all
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv([{"xi": "1/5", "tau": "1", "replicates": 5, "mean_rmse_kf": 0.1},
+                     {"xi": "1", "tau": "1/10", "replicates": 5, "mean_rmse_kf": 2.0}], path)
+    assert path.read_bytes() == (b"xi,tau,replicates,mean_rmse_kf\r\n"
+                                 b"1/5,1,5,0.10000000000000001\r\n"
+                                 b"1,1/10,5,2\r\n")
+
+
+def test_table_without_rows_is_its_header(tmp_path):
+    path = _write_table(tmp_path / "empty.csv", ["step", "value"], iter(()))
+    assert path.read_bytes() == b"step,value\r\n"
 
 
 def test_written_trajectories_roundtrip_bit_exact(tmp_path):

@@ -138,7 +138,42 @@ def test_forecast_matches_dense_oracle(case):
     np.testing.assert_array_equal(est.covariance, est.covariance.T)
 
 
+@pytest.mark.parametrize("n", [50, 400])
+def test_forecast_into_the_prior_buffer_is_bit_identical(n):
+    grid = make_grid(2.0, n, 0.99, 1.0, 10)
+    rng = np.random.default_rng(n)
+    speeds = rng.uniform(-1.0, 1.0, n)
+    prev = StateEstimate(0, rng.standard_normal(n), random_spd(rng, n))
+    fresh = forecast(prev, grid, ModelConfig(0.08), speeds)
+    assert not np.shares_memory(fresh.covariance, prev.covariance)
+    buffer = prev.covariance
+    in_place = forecast(prev, grid, ModelConfig(0.08), speeds, out=buffer)
+    assert in_place.covariance is buffer
+    np.testing.assert_array_equal(in_place.mean, fresh.mean)
+    np.testing.assert_array_equal(in_place.covariance, fresh.covariance)
+
+
 # --- conditioning kernel -----------------------------------------------------------
+
+def test_results_keep_their_values_through_later_calls():
+    # forecast and condition share one scratch workspace; no result lives in it
+    n = 400
+    grid = make_grid(2.0, n, 0.99, 1.0, 10)
+    rng = np.random.default_rng(21)
+    cov = random_spd(rng, n)
+    mean = rng.standard_normal(n)
+    stations = rng.choice(n, size=80, replace=False)
+    post_mean, post_cov = condition(mean, cov, stations, rng.standard_normal(80), 0.02)
+    kept = post_mean.copy(), post_cov.copy()
+    est = forecast(StateEstimate(1, mean, cov), grid, ModelConfig(0.08), np.zeros(n))
+    kept_forecast = est.covariance.copy()
+    condition(est.mean, est.covariance, stations[:40], rng.standard_normal(40), 0.02)
+    gain_columns(cov, stations[40:], 0.02)
+    forecast(StateEstimate(0, post_mean, post_cov), grid, ModelConfig(0.08), np.ones(n))
+    np.testing.assert_array_equal(post_mean, kept[0])
+    np.testing.assert_array_equal(post_cov, kept[1])
+    np.testing.assert_array_equal(est.covariance, kept_forecast)
+
 
 def test_condition_matches_condition_on_stations():
     rng = np.random.default_rng(13)
