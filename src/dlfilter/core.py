@@ -29,7 +29,6 @@ class GridSpec:
 
     domain_length: float
     n_points: int
-    dx: float
     dt: float
     n_steps: int
 
@@ -38,12 +37,14 @@ class GridSpec:
             raise ValueError("domain_length must be positive")
         if self.n_points < 2:
             raise ValueError("need at least 2 grid points")
-        if self.dx != self.domain_length / self.n_points:
-            raise ValueError("dx must equal domain_length / n_points exactly")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
+
+    @property
+    def dx(self) -> float:
+        return self.domain_length / self.n_points
 
     @property
     def positions(self) -> np.ndarray:
@@ -125,18 +126,15 @@ def make_grid(domain_length: float, n_points: int, cfl: float, max_speed: float,
     ``dt = cfl * dx / max_speed`` where ``max_speed`` bounds the advection
     speed over the whole run.
     """
-    if domain_length <= 0:
-        raise ValueError("domain_length must be positive")
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     if not 0 < cfl <= 1:
         raise ValueError("cfl must lie in (0, 1]")
     if max_speed <= 0:
         raise ValueError("max_speed must be positive (dt would be unbounded)")
-    dx = domain_length / n_points
-    dt = cfl * dx / max_speed
+    dt = cfl * (domain_length / n_points) / max_speed
     return GridSpec(domain_length=float(domain_length), n_points=int(n_points),
-                    dx=dx, dt=dt, n_steps=int(n_steps))
+                    dt=dt, n_steps=int(n_steps))
 
 
 def gaussian_vector(src: NoiseSource, n: int, stddev: float) -> np.ndarray:

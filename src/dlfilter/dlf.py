@@ -196,6 +196,8 @@ def _join_fresh(pool: Pool, fresh: list[Observation], grid: GridSpec) -> Pool:
         raise ValueError(f"fresh observations at steps {sorted(times)}, "
                          f"expected {pool.time_index}")
     stations = np.array([obs.station for obs in fresh])
+    if stations.min() < 0 or stations.max() >= grid.n_points:
+        raise ValueError("observation station outside the grid")
     return Pool(pool.time_index,
                 np.concatenate([pool.value, [obs.value for obs in fresh]]),
                 np.concatenate([pool.position, stations * grid.dx]),

@@ -55,10 +55,18 @@ def _step_speeds(truth_cfg: TruthConfig, grid: GridSpec, step: int) -> np.ndarra
     return np.asarray(mean_speed(truth_cfg, grid.positions, (step - 1) * grid.dt), dtype=float)
 
 
+# The canonical scenario of each drift family: the values its unset fields take.
+_DRIFT_DEFAULTS = {
+    Drift.OU: dict(n_steps=200, pulse_center=1.25),
+    Drift.ACCELERATING: dict(n_steps=100, pulse_center=1.0),
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything a run needs: physics, discretization, network, seeds.
 
+    A field left ``None`` takes its drift's value from ``_DRIFT_DEFAULTS``.
     Making a config checks it and builds the parts a run reads, once:
     ``truth_config`` (the truth laws), ``grid`` and ``network`` (the
     observation network). A value that cannot run fails here, not mid-run.
@@ -68,13 +76,13 @@ class ScenarioConfig:
     domain_length: float = 2.0
     n_points: int = 50
     cfl: float = 0.99
-    n_steps: int = 200
+    n_steps: int | None = None
     relax_rate: float = 0.01
     base_speed: float = 0.1
     speed_ramp: float = 0.01
     speed_noise: float = 0.02
     forcing_noise: float = 0.01
-    pulse_center: float = 1.25
+    pulse_center: float | None = None
     init_var: float = 0.02
     model_noise_var: float = 0.08
     space_freq: Fraction = Fraction(1)
@@ -88,6 +96,9 @@ class ScenarioConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "drift", Drift(self.drift))
+        for name, value in _DRIFT_DEFAULTS[self.drift].items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
         object.__setattr__(self, "space_freq", Fraction(self.space_freq))
         object.__setattr__(self, "time_freq", Fraction(self.time_freq))
         for f in fields(self):
@@ -131,19 +142,12 @@ class ScenarioConfig:
 
 def default_config(drift: Drift | str, **overrides) -> ScenarioConfig:
     """Canonical scenario for each drift family (pulse center, horizon)."""
-    drift = Drift(drift)
-    base = dict(drift=drift)
-    if drift is Drift.OU:
-        base.update(n_steps=200, pulse_center=1.25)
-    else:
-        base.update(n_steps=100, pulse_center=1.0)
-    base.update(overrides)
-    return ScenarioConfig(**base)
+    return ScenarioConfig(drift=drift, **overrides)
 
 
 @dataclass(frozen=True)
 class MetricTable:
-    """Per-step diagnostics plus final-time difference fields."""
+    """Per-step diagnostics, one entry per step from 0 to n_steps."""
 
     com_truth: np.ndarray
     com_model: np.ndarray
@@ -154,9 +158,6 @@ class MetricTable:
     rmse_model: np.ndarray
     rmse_kf: np.ndarray
     rmse_dlf: np.ndarray
-    final_diff_model: np.ndarray
-    final_diff_kf: np.ndarray
-    final_diff_dlf: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -318,9 +319,6 @@ def _compute_metrics(grid, truth, model_only, kf_mean, dlf_mean, trace_kf,
         rmse_model=np.sqrt(np.mean((model_only - truth.values) ** 2, axis=1)),
         rmse_kf=np.sqrt(np.mean((kf_mean - truth.values) ** 2, axis=1)),
         rmse_dlf=np.sqrt(np.mean((dlf_mean - truth.values) ** 2, axis=1)),
-        final_diff_model=model_only[-1] - truth.values[-1],
-        final_diff_kf=kf_mean[-1] - truth.values[-1],
-        final_diff_dlf=dlf_mean[-1] - truth.values[-1],
     )
 
 
@@ -480,8 +478,8 @@ def write_outputs(result: RunResult, out_dir) -> list[Path]:
     m = result.metrics
     grid = result.grid
     stations = [f"station_{k}" for k in range(grid.n_points)]
-    metric_columns = ["com_truth", "com_model", "com_kf", "com_dlf", "trace_kf", "trace_dlf",
-                      "rmse_model", "rmse_kf", "rmse_dlf"]
+    metric_columns = [f.name for f in fields(MetricTable)]
+    final_truth = result.truth.values[-1]
 
     tables = {
         "truth.csv": (stations, map(np.ndarray.tolist, result.truth.values)),
@@ -493,8 +491,8 @@ def write_outputs(result: RunResult, out_dir) -> list[Path]:
                             *(getattr(m, c).tolist() for c in metric_columns))),
         "final_diff.csv": (["station", "x", "diff_model", "diff_kf", "diff_dlf"],
                            zip(range(grid.n_points), grid.positions.tolist(),
-                               m.final_diff_model.tolist(), m.final_diff_kf.tolist(),
-                               m.final_diff_dlf.tolist())),
+                               *((means[-1] - final_truth).tolist() for means in
+                                 (result.model_only, result.kf_mean, result.dlf_mean)))),
         "observations.csv": (["time_index", "station", "value", "variance"],
                              ((o.time_index, o.station, o.value, o.variance)
                               for o in result.observations)),

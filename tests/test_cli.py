@@ -109,6 +109,11 @@ def test_bad_input_in_a_fresh_process(tmp_path):
     ("run", "drift = ou\nn_points = 0\n", "n_points must be at least 2"),
     ("run", "drift = ou\nn_steps = 2.5\n", "n_steps = 2.5: "),
     ("run", "drift = ou\nseed_obs = 1.5\n", "seed_obs = 1.5: "),
+    ("run", "drift = ou\nobs_var = 0\n", "obs_var must be positive"),
+    ("run", "drift = ou\nmodel_noise_var = -1\n", "model_noise_var must be nonnegative"),
+    ("run", "drift = ou\nn_steps = 0\n", "n_steps must be at least 1"),
+    ("run", "drift = ou\nspeed_noise = -1\n", "speed_noise must be nonnegative"),
+    ("run", "drift = ou\nspace_freq = 1/60\n", "spatial stride exceeds the number of stations"),
     # flag values are argparse's to report, after its usage lines
     ("sweep --xi 1/0 --tau 1", "drift = ou\n",
      "dlfilter sweep: error: argument --xi: invalid _fraction_list value: '1/0'"),
@@ -121,7 +126,8 @@ def test_bad_input_in_a_fresh_process(tmp_path):
         "nan-forcing-noise", "nan-relax-rate", "manifest-without-config", "cfl-at-start",
         "cfl-late-in-run", "negative-seed-truth", "negative-seed-obs-in-sweep",
         "zero-denominator-in-file", "zero-ou-points", "fractional-n-steps",
-        "fractional-seed", "zero-denominator-xi", "zero-denominator-tau", "unparsable-xi"])
+        "fractional-seed", "zero-obs-var", "negative-model-noise-var", "zero-steps",
+        "negative-speed-noise", "stride-past-the-grid", "zero-denominator-xi", "zero-denominator-tau", "unparsable-xi"])
 def test_bad_input_is_one_error_line_with_status_2(tmp_path, capsys, command, config_text,
                                                    message):
     config = tmp_path / "scenario.cfg"

@@ -500,6 +500,25 @@ def test_dlf_step_rejects_misaligned_pool():
         dlf_step(forecast_est, live(current=1, origin=1), [], grid, flow_cfg())
 
 
+@pytest.mark.parametrize("station", [60, -1, 50])
+def test_dlf_step_rejects_a_fresh_reading_off_the_grid(station):
+    # station 60 would join the pool at x = 2.4 and station -1 at x = -0.04, outside [0, L)
+    grid = grid_for()
+    forecast_est = StateEstimate(1, np.zeros(50), 0.02 * np.eye(50))
+    fresh = [Observation(value=1.0, station=station, time_index=1, variance=0.02)]
+    with pytest.raises(ValueError, match="observation station outside the grid"):
+        dlf_step(forecast_est, Pool.empty(0), fresh, grid, flow_cfg())
+
+
+def test_dlf_step_rejects_fresh_readings_from_another_step():
+    grid = grid_for()
+    forecast_est = StateEstimate(1, np.zeros(50), 0.02 * np.eye(50))
+    fresh = [Observation(value=1.0, station=3, time_index=1, variance=0.02),
+             Observation(value=1.0, station=4, time_index=2, variance=0.02)]
+    with pytest.raises(ValueError, match=r"fresh observations at steps \[1, 2\], expected 1"):
+        dlf_step(forecast_est, Pool.empty(0), fresh, grid, flow_cfg())
+
+
 def test_dlf_step_enforces_pool_cap():
     grid = grid_for()
     cfg = flow_cfg()

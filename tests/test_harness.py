@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -385,6 +386,20 @@ def test_config_file_takes_its_drift_defaults(tmp_path, drift):
     path = tmp_path / "scenario.cfg"
     path.write_text(f"drift = {drift}\n")
     assert load_config(path) == default_config(drift)
+
+
+@pytest.mark.parametrize("drift", ["ou", "accelerating"])
+def test_scenario_config_takes_its_drift_defaults(drift):
+    assert ScenarioConfig(drift=drift) == default_config(drift)
+
+
+@pytest.mark.parametrize("name, drift, xi, tau", [
+    ("ou_sparse", "ou", Fraction(1, 5), Fraction(1, 10)),
+    ("accelerating_sparse", "accelerating", Fraction(1, 4), Fraction(1, 10)),
+])
+def test_shipped_configs_are_their_paper_cells(name, drift, xi, tau):
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg"
+    assert load_config(path) == default_config(drift, space_freq=xi, time_freq=tau)
 
 
 def test_config_rejects_unknown_keys(tmp_path):
