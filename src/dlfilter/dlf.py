@@ -46,7 +46,8 @@ _NODE_EPS = 1e-9
 class Pool:
     """Live observations riding the flow, all at one time index.
 
-    Entry k is a measurement taken at step ``origin_time[k]``, now at
+    Entry k is a measurement taken at step ``origin_time[k]`` and station
+    ``origin_station[k]`` (-1 where the caller gave none), now at
     ``position[k]`` with inflated ``variance[k]``. Entries are kept in
     arrival order, oldest first.
     """
@@ -56,14 +57,18 @@ class Pool:
     position: np.ndarray
     variance: np.ndarray
     origin_time: np.ndarray
+    origin_station: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("value", "position", "variance"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        object.__setattr__(self, "origin_time", np.asarray(self.origin_time, dtype=np.int64))
         n = self.value.shape[0]
+        origin_station = np.full(n, -1) if self.origin_station is None else self.origin_station
+        for name, origin in (("origin_time", self.origin_time),
+                             ("origin_station", origin_station)):
+            object.__setattr__(self, name, np.asarray(origin, dtype=np.int64))
         if any(getattr(self, name).shape != (n,)
-               for name in ("value", "position", "variance", "origin_time")):
+               for name in ("value", "position", "variance", "origin_time", "origin_station")):
             raise ValueError("pool arrays must be one-dimensional and of equal length")
         if np.any(self.variance <= 0):
             raise ValueError("live observation variance must be positive")
@@ -72,7 +77,8 @@ class Pool:
 
     @classmethod
     def empty(cls, time_index: int) -> "Pool":
-        return cls(time_index, np.empty(0), np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))
+        none = np.empty(0, dtype=np.int64)
+        return cls(time_index, np.empty(0), np.empty(0), np.empty(0), none, none)
 
     def __len__(self):
         return self.value.shape[0]
@@ -80,7 +86,7 @@ class Pool:
     def take(self, index) -> "Pool":
         """The entries picked by ``index`` (a mask, index array or slice)."""
         return Pool(self.time_index, self.value[index], self.position[index],
-                    self.variance[index], self.origin_time[index])
+                    self.variance[index], self.origin_time[index], self.origin_station[index])
 
 
 @dataclass(frozen=True)
@@ -172,18 +178,21 @@ def rank_order(stations: np.ndarray, values: np.ndarray,
                               selected=selected)
 
 
-def multi_analysis(forecast_est: StateEstimate, assembly: LikelihoodAssembly) -> StateEstimate:
+def multi_analysis(forecast_est: StateEstimate, assembly: LikelihoodAssembly,
+                   factors_out: list | None = None) -> StateEstimate:
     """Condition the forecast on the assembled per-station data.
 
     Each informed station is read directly at its winning datum's variance;
     uninformed stations carry no reading (the infinite-variance limit). An
-    empty assembly leaves the forecast untouched.
+    empty assembly leaves the forecast untouched. ``factors_out`` is passed
+    to :func:`~dlfilter.kalman.condition`.
     """
     if len(assembly) == 0:
         return forecast_est
     mean, cov = condition(forecast_est.mean, forecast_est.covariance,
                           assembly.informed_stations, assembly.projected_values,
-                          assembly.projected_variances, time_index=forecast_est.time_index)
+                          assembly.projected_variances, time_index=forecast_est.time_index,
+                          factors_out=factors_out)
     return StateEstimate(time_index=forecast_est.time_index, mean=mean, covariance=cov)
 
 
@@ -202,18 +211,21 @@ def _join_fresh(pool: Pool, fresh: list[Observation], grid: GridSpec) -> Pool:
                 np.concatenate([pool.value, [obs.value for obs in fresh]]),
                 np.concatenate([pool.position, stations * grid.dx]),
                 np.concatenate([pool.variance, [obs.variance for obs in fresh]]),
-                np.concatenate([pool.origin_time, np.full(len(fresh), pool.time_index)]))
+                np.concatenate([pool.origin_time, np.full(len(fresh), pool.time_index)]),
+                np.concatenate([pool.origin_station, stations]))
 
 
 def dlf_step(forecast_est: StateEstimate, pool: Pool, fresh: list[Observation],
-             grid: GridSpec, truth_cfg: TruthConfig) -> DlfStepResult:
+             grid: GridSpec, truth_cfg: TruthConfig,
+             factors_out: list | None = None) -> DlfStepResult:
     """Assimilate the pool and fresh data into one step's model forecast.
 
     The pool is advanced one step (positions and variances) to the
     forecast's time, fresh measurements join it at their stations, non-viable
     members are shed, and the survivors are projected and rank-ordered into
     the assembly used by the multi-analysis. Survivors persist to the next
-    step; the assembly's ``selected`` indexes them.
+    step; the assembly's ``selected`` indexes them. ``factors_out`` is passed
+    to the multi-analysis.
     """
     if pool.time_index + 1 != forecast_est.time_index:
         raise ValueError(f"pool at step {pool.time_index}, expected {forecast_est.time_index - 1}")
@@ -226,5 +238,5 @@ def dlf_step(forecast_est: StateEstimate, pool: Pool, fresh: list[Observation],
         survivors = survivors.take(slice(-cap, None))
 
     assembly = rank_order(project(survivors, grid), survivors.value, survivors.variance)
-    estimate = multi_analysis(forecast_est, assembly)
+    estimate = multi_analysis(forecast_est, assembly, factors_out)
     return DlfStepResult(estimate=estimate, pool=survivors, assembly=assembly)

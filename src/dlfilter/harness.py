@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .core import GridSpec, NoiseSource, StateEstimate, make_grid
 from .dlf import DlfStepResult, LikelihoodAssembly, Pool, dlf_step
-from .kalman import analysis, forecast
+from .kalman import analysis, forecast, forecast_mean, update_mean
 from .model import ModelConfig, lax_friedrichs_weights, model_step
 from .obsnet import (Observation, build_network, observation_matrix,
                      observations_by_step, sample_observations)
@@ -36,8 +36,10 @@ __all__ = [
     "default_config",
     "center_of_mass",
     "circular_distance",
+    "DlfPlan",
     "run_scenario",
     "summarize_run",
+    "summarize_cell",
     "sweep",
     "sweep_configs",
     "write_outputs",
@@ -186,7 +188,7 @@ class RunResult:
     def _replay(self) -> tuple[list[StateEstimate], list[StateEstimate]]:
         # The stepper reuses a covariance's buffer on the next step: keep copies.
         kf, dlf = [], []
-        for _, kf_est, dlf_result in _steps(self.config, self.truth, self.observations):
+        for _, kf_est, _, _, dlf_result in _steps(self.config, self.truth, self.observations):
             for kept, est in ((kf, kf_est), (dlf, dlf_result.estimate)):
                 kept.append(replace(est, covariance=est.covariance.copy()))
         return kf, dlf
@@ -229,14 +231,82 @@ def circular_distance(a, b, length: float):
     return np.minimum(d, length - d)
 
 
-def _steps(cfg: ScenarioConfig, truth: TruthField, observations: list[Observation]):
+def _without_seeds(cfg: ScenarioConfig) -> dict:
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg) if not f.name.startswith("seed_")}
+
+
+class DlfPlan:
+    """One cell's DLF likelihood structure, recorded on one run and applied to others.
+
+    It relies on one invariant: the DLF likelihood does not depend on the
+    data. The scenario is linear and Gaussian, so where each pooled datum
+    sits, its variance, what viability sheds and the cap evicts, which datum
+    wins each station, and so the factors of every multi-analysis and the
+    covariances they leave, follow from the config's physics, grid and
+    network; the seeds move only the values read. A linear filter's gains
+    can be computed before any data arrive (Anderson & Moore, *Optimal
+    Filtering*, 1979, §3.1). So a plan recorded on one config gives, for a
+    config that differs from it in its three seeds only, that config's DLF
+    means and traces bit for bit, and it refuses any other config. A
+    likelihood that reads the data (a datum variance that depends on the
+    forecast mean, say) breaks the invariant: a config with one must not
+    share a plan.
+
+    A plan is empty until a run records into it. Entry n holds the DLF
+    covariance trace after step n and, at a step that informs k > 0
+    stations, the informed stations S, the origin step and origin station of
+    each winning datum, and the factors L and W = L^-1 P[S, :] of the
+    multi-analysis: k^2 + kN doubles.
+    """
+
+    def __init__(self):
+        self._structure: dict | None = None
+        self._entries: list[tuple] = []
+
+    @property
+    def recorded(self) -> bool:
+        return self._structure is not None
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the plan holds."""
+        return sum(a.nbytes for _, informed in self._entries if informed for a in informed)
+
+    def _keep(self, cfg: ScenarioConfig, entries: list[tuple]) -> None:
+        self._structure, self._entries = _without_seeds(cfg), entries
+
+    def _check(self, cfg: ScenarioConfig) -> None:
+        structure = _without_seeds(cfg)
+        differ = sorted(k for k, v in structure.items() if self._structure[k] != v)
+        if differ:
+            raise ValueError(f"a DLF plan applies only to configs that differ from its own "
+                             f"in their seeds; this one differs in {differ}")
+
+    @staticmethod
+    def _entry(result: DlfStepResult, factors: list) -> tuple:
+        if not factors:
+            return result.estimate.trace, None
+        (factor, weights), = factors
+        chosen = result.assembly.selected
+        return result.estimate.trace, (result.assembly.informed_stations,
+                                       result.pool.origin_time[chosen],
+                                       result.pool.origin_station[chosen], factor, weights)
+
+
+def _steps(cfg: ScenarioConfig, truth: TruthField, observations: list[Observation],
+           plan: DlfPlan | None = None):
     """Advance the model-only trajectory, the KF and the DLF over one run.
 
     Each step's station speeds drive the model-only step and the one model
     forecast of both filters; the filters differ only in what they assimilate.
-    Yields ``(model_row, kf_estimate, dlf_step_result)`` for steps 0 to
-    n_steps; step 0 is the initial state, with an empty pool and assembly.
-    The same inputs replay the same steps bit for bit.
+    Yields ``(model_row, kf_estimate, dlf_mean, dlf_trace, dlf_step_result)``
+    for steps 0 to n_steps; step 0 is the initial state, with an empty pool
+    and assembly. The same inputs replay the same steps bit for bit.
+
+    An empty ``plan`` is filled from this run's DLF steps. A recorded one
+    replaces them: the DLF mean is forecast and updated from the plan's
+    factors and this run's readings at the plan's sources, no DLF
+    covariance exists, and ``dlf_step_result`` is None.
 
     Each filter forecasts into its last estimate's covariance buffer, so a
     yielded covariance is valid only until the next step; a consumer that
@@ -248,34 +318,66 @@ def _steps(cfg: ScenarioConfig, truth: TruthField, observations: list[Observatio
     model_cfg = ModelConfig(noise_var=cfg.model_noise_var)
     model_only_cfg = model_cfg if cfg.model_mode == "stochastic" else ModelConfig(noise_var=0.0)
     model_src = NoiseSource(cfg.seed_model)
+    applying = plan is not None and plan.recorded
+    recording = plan is not None and not applying
 
     model_row = pulse_profile(grid, cfg.pulse_center)
     kf_est = StateEstimate(time_index=0, mean=model_row,
                            covariance=cfg.init_var * np.eye(grid.n_points))
-    # The filters own their buffers from here on: the DLF starts on a copy.
-    dlf_result = DlfStepResult(replace(kf_est, covariance=kf_est.covariance.copy()),
-                               Pool.empty(time_index=0), LikelihoodAssembly.empty())
-    yield model_row, kf_est, dlf_result
+    dlf_mean, dlf_result = model_row, None
+    if applying:
+        plan._check(cfg)
+        readings = np.full((grid.n_steps + 1, grid.n_points), np.nan)
+        for obs in observations:
+            readings[obs.time_index, obs.station] = obs.value
+        dlf_trace = plan._entries[0][0]
+    else:
+        # The filters own their buffers from here on: the DLF starts on a copy.
+        dlf_result = DlfStepResult(replace(kf_est, covariance=kf_est.covariance.copy()),
+                                   Pool.empty(time_index=0), LikelihoodAssembly.empty())
+        dlf_trace = dlf_result.estimate.trace
+        entries = [(dlf_trace, None)] if recording else None
+    yield model_row, kf_est, dlf_mean, dlf_trace, dlf_result
 
     for step in range(1, grid.n_steps + 1):
         speeds = _step_speeds(truth_cfg, grid, step)
         model_row = model_step(model_row, grid, model_only_cfg, speeds, model_src)
         kf_est = forecast(kf_est, grid, model_cfg, speeds, out=kf_est.covariance)
-        dlf_prior = forecast(dlf_result.estimate, grid, model_cfg, speeds,
-                             out=dlf_result.estimate.covariance)
-
         fresh = fresh_by_step.get(step, [])
         if fresh:
             kf_est = analysis(kf_est, fresh, obs_mat, cfg.obs_var)
-        dlf_result = dlf_step(dlf_prior, dlf_result.pool, fresh, grid, truth_cfg)
-        yield model_row, kf_est, dlf_result
+
+        if applying:
+            dlf_trace, informed = plan._entries[step]
+            dlf_mean = forecast_mean(dlf_mean, grid, speeds)
+            if informed is not None:
+                stations, times, origins, factor, weights = informed
+                dlf_mean = update_mean(dlf_mean, stations, readings[times, origins],
+                                       factor, weights)
+        else:
+            dlf_prior = forecast(dlf_result.estimate, grid, model_cfg, speeds,
+                                 out=dlf_result.estimate.covariance)
+            factors = [] if recording else None
+            dlf_result = dlf_step(dlf_prior, dlf_result.pool, fresh, grid, truth_cfg, factors)
+            dlf_mean, dlf_trace = dlf_result.estimate.mean, dlf_result.estimate.trace
+            if recording:
+                entries.append(DlfPlan._entry(dlf_result, factors))
+        yield model_row, kf_est, dlf_mean, dlf_trace, dlf_result
+    if recording:
+        plan._keep(cfg, entries)
 
 
-def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False) -> RunResult:
+def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False,
+                 plan: DlfPlan | None = None) -> RunResult:
     """Run truth, model-only, Kalman, and dynamic likelihood estimators once.
 
-    Keeps each step's means and covariance traces, not the covariances.
+    Keeps each step's means and covariance traces, not the covariances. An
+    empty ``plan`` records this run's DLF likelihood structure; a recorded
+    one stands in for the DLF's pool and covariance work (see
+    :class:`DlfPlan`). Either way the result is the same.
     """
+    if collect_pool_trace and plan is not None and plan.recorded:
+        raise ValueError("a pool trace needs the DLF's own steps, not a recorded plan")
     grid = cfg.grid
     truth = generate_truth(grid, cfg.truth_config, NoiseSource(cfg.seed_truth))
     observations = sample_observations(truth, cfg.network, NoiseSource(cfg.seed_obs),
@@ -288,13 +390,13 @@ def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False) -> RunRe
     trace_dlf = np.empty(grid.n_steps + 1)
     trace_rows: list[tuple] | None = [] if collect_pool_trace else None
 
-    for step, (model_row, kf_est, dlf_result) in enumerate(
-            _steps(cfg, truth, observations)):
+    for step, (model_row, kf_est, dlf_row, dlf_trace, dlf_result) in enumerate(
+            _steps(cfg, truth, observations, plan)):
         model_only[step] = model_row
         kf_mean[step] = kf_est.mean
-        dlf_mean[step] = dlf_result.estimate.mean
+        dlf_mean[step] = dlf_row
         trace_kf[step] = kf_est.trace
-        trace_dlf[step] = dlf_result.estimate.trace
+        trace_dlf[step] = dlf_trace
         if trace_rows is not None:
             pool = dlf_result.pool
             selected = np.zeros(len(pool), dtype=int)
@@ -358,11 +460,22 @@ def sweep_configs(base: ScenarioConfig, xi_list, tau_list,
             for xi in xi_list for tau in tau_list]
 
 
+def summarize_cell(cell: list[ScenarioConfig]) -> list[dict[str, float]]:
+    """The summary of each replicate run of one cell of :func:`sweep_configs`.
+
+    The first replicate records the cell's :class:`DlfPlan` and the others
+    apply it, so each summary is that of ``run_scenario`` of its config. The
+    plan is dropped when the cell ends; a one-replicate cell records none.
+    """
+    plan = DlfPlan() if len(cell) > 1 else None
+    return [summarize_run(run_scenario(cfg, plan=plan)) for cfg in cell]
+
+
 def sweep(cells: list[list[ScenarioConfig]]) -> list[dict]:
     """Replicate-aggregated metrics per cell of :func:`sweep_configs`."""
     rows = []
     for cell in cells:
-        summaries = [summarize_run(run_scenario(cfg)) for cfg in cell]
+        summaries = summarize_cell(cell)
         row: dict = {"xi": str(cell[0].space_freq), "tau": str(cell[0].time_freq),
                      "replicates": len(cell)}
         for key in summaries[0]:
@@ -500,6 +613,8 @@ def write_outputs(result: RunResult, out_dir) -> list[Path]:
     if result.pool_trace is not None:
         tables["pool_trace.csv"] = (["step", "origin_time", "position", "variance", "selected"],
                                     result.pool_trace)
+    else:  # an earlier run's trace in a reused directory is not this run's output
+        (out / "pool_trace.csv").unlink(missing_ok=True)
     written = [_write_table(out / name, header, rows) for name, (header, rows) in tables.items()]
 
     manifest = {

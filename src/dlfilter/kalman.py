@@ -13,7 +13,8 @@ from .core import GridSpec, StateEstimate
 from .model import ModelConfig, lax_friedrichs_matrix, lax_friedrichs_weights
 from .obsnet import Observation
 
-__all__ = ["FilterError", "forecast", "analysis", "condition", "gain_columns"]
+__all__ = ["FilterError", "forecast", "forecast_mean", "analysis", "condition", "update_mean",
+           "gain_columns"]
 
 
 class FilterError(RuntimeError):
@@ -52,20 +53,25 @@ def _workspace(slot: int, shape: tuple[int, int]) -> np.ndarray:
     return _WORKSPACE[slot][:size].reshape(shape)
 
 
+def forecast_mean(mean: np.ndarray, grid: GridSpec, speeds: np.ndarray) -> np.ndarray:
+    """T m: the forecast mean, the model's own advection product, as in ``model_step``."""
+    return lax_friedrichs_matrix(grid, speeds) @ mean
+
+
 def forecast(prev: StateEstimate, grid: GridSpec, model_cfg: ModelConfig,
              speeds: np.ndarray, out: np.ndarray | None = None) -> StateEstimate:
     """One forecast step of the filter through the Lax-Friedrichs model.
 
-    Returns (T m, T P T^T + noise_var * I), the covariance symmetrized. The
-    mean is the model's own advection product, as in ``model_step``. T has
-    two diagonals, so T P T^T costs O(N^2): T is applied to the rows of P,
-    then to the columns of the result.
+    Returns (T m, T P T^T + noise_var * I), the covariance symmetrized, with
+    the mean from :func:`forecast_mean`. T has two diagonals, so T P T^T
+    costs O(N^2): T is applied to the rows of P, then to the columns of the
+    result.
 
     The covariance is written to ``out`` (a new array if None). ``out`` may
     be ``prev.covariance`` itself: P is read in full before ``out`` is
     written, so a caller done with ``prev`` can forecast into its buffer.
     """
-    mean = lax_friedrichs_matrix(grid, speeds) @ prev.mean
+    mean = forecast_mean(prev.mean, grid, speeds)
     right, left = lax_friedrichs_weights(grid, speeds)
     shape = prev.covariance.shape
     cov = np.empty(shape) if out is None else out
@@ -100,8 +106,16 @@ def _whiten(cov: np.ndarray, stations: np.ndarray, variances,
                                                  overwrite_b=True)
 
 
+def update_mean(mean: np.ndarray, stations: np.ndarray, values, factor: np.ndarray,
+                weights: np.ndarray) -> np.ndarray:
+    """The posterior mean of :func:`condition` from its factors: mean + W^T L^-1 (y - mean[S])."""
+    innovation = np.asarray(values, dtype=float) - mean[stations]
+    return mean + weights.T @ scipy.linalg.solve_triangular(factor, innovation, lower=True)
+
+
 def condition(mean: np.ndarray, cov: np.ndarray, stations, values, variances,
-              time_index: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+              time_index: int | None = None,
+              factors_out: list | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Condition N(mean, cov) on independent direct readings of some stations.
 
     Reading k is ``values[k]`` of station ``stations[k]`` with noise variance
@@ -113,12 +127,15 @@ def condition(mean: np.ndarray, cov: np.ndarray, stations, values, variances,
     in O(N^2 k). ``W.T @ W`` is a symmetric rank-k product, so the posterior
     covariance is exactly symmetric whenever P is (factorized update, after
     Bierman 1977). Both results are new arrays. ``time_index`` only labels a
-    failed factorization.
+    failed factorization. A ``factors_out`` list gets (L, W) appended, copied
+    in their memory layout, so :func:`update_mean` repeats this posterior
+    mean from them bit for bit.
     """
     stations = np.asarray(stations, dtype=np.int64)
     factor, weights = _whiten(cov, stations, variances, time_index)
-    innovation = np.asarray(values, dtype=float) - mean[stations]
-    post_mean = mean + weights.T @ scipy.linalg.solve_triangular(factor, innovation, lower=True)
+    if factors_out is not None:
+        factors_out.append((factor.copy(order="K"), weights.copy(order="K")))
+    post_mean = update_mean(mean, stations, values, factor, weights)
     product = np.matmul(weights.T, weights, out=_workspace(1, cov.shape))
     return post_mean, np.subtract(cov, product)
 

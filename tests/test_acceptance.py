@@ -7,7 +7,6 @@ claim.
 """
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,7 +18,7 @@ from dlfilter.checks import (check_gain_optimality, check_gaussian_conditioning,
 from dlfilter.core import NoiseSource, StateEstimate
 from dlfilter.dlf import Pool, dlf_step, rank_order
 from dlfilter.harness import (config_from_flat, default_config, run_scenario,
-                              summarize_run, write_outputs)
+                              summarize_cell, sweep_configs, write_outputs)
 from dlfilter.kalman import analysis, forecast
 from dlfilter.model import ModelConfig
 from dlfilter.obsnet import observation_matrix, observations_by_step, sample_observations
@@ -36,13 +35,9 @@ def report(number, label, ok, detail):
 
 @lru_cache(maxsize=None)
 def cell_summaries(drift: str, xi: Fraction, tau: Fraction) -> tuple[dict, ...]:
-    base = default_config(drift, space_freq=xi, time_freq=tau)
-    out = []
-    for rep in range(N_REPLICATES):
-        cfg = replace(base, seed_truth=base.seed_truth + rep,
-                      seed_model=base.seed_model + rep, seed_obs=base.seed_obs + rep)
-        out.append(summarize_run(run_scenario(cfg)))
-    return tuple(out)
+    """The replicate summaries of one cell, made as ``dlfilter sweep`` makes them."""
+    (cell,) = sweep_configs(default_config(drift), [xi], [tau], N_REPLICATES)
+    return tuple(summarize_cell(cell))
 
 
 def median_of(summaries, key):

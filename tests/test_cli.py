@@ -54,6 +54,18 @@ def test_run_command_pool_trace(tmp_path, config_file):
     assert "pool_trace.csv" in manifest["outputs"]
 
 
+def test_reused_out_directory_holds_only_the_last_runs_tables(tmp_path, config_file):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "notes.txt").write_text("kept\n")
+    main(["run", "--config", str(config_file), "--out", str(out_dir), "--pool-trace"])
+    main(["run", "--config", str(config_file), "--out", str(out_dir)])
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert "pool_trace.csv" not in manifest["outputs"]
+    assert sorted(p.name for p in out_dir.glob("*.csv")) == manifest["outputs"]
+    assert (out_dir / "notes.txt").read_text() == "kept\n"
+
+
 def test_sweep_command(tmp_path, config_file, capsys):
     out_dir = tmp_path / "sweep"
     code = main(["sweep", "--config", str(config_file), "--xi", "1,1/5",

@@ -2,7 +2,7 @@ import csv
 import json
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -324,8 +324,8 @@ def test_single_cell_sweep_matches_run_scenario():
     assert len(rows) == 1
     summary = summarize_run(run_scenario(cfg))
     for key, value in summary.items():
-        assert rows[0][f"median_{key}"] == pytest.approx(value)
-        assert rows[0][f"mean_{key}"] == pytest.approx(value)
+        assert rows[0][f"median_{key}"] == value
+        assert rows[0][f"mean_{key}"] == value
 
 
 def test_sweep_covers_all_cells():
@@ -351,6 +351,103 @@ def test_sweep_replicates_use_distinct_truths():
         runs.append(run_scenario(rcfg).truth.values)
     assert not np.array_equal(runs[0], runs[1])
     assert not np.array_equal(runs[1], runs[2])
+
+
+# --- one DLF plan per sweep cell ------------------------------------------------------
+
+PLAN_CFGS = {
+    "ou": dict(n_steps=40),
+    "ou-present": dict(n_steps=40, present_time=25),
+    "ou-mean-model": dict(n_steps=40, model_mode="mean"),
+    "accelerating": dict(n_steps=30),
+    "accelerating-present": dict(n_steps=30, present_time=18),
+    "accelerating-mean-model": dict(n_steps=30, model_mode="mean"),
+}
+
+
+def swept_results(monkeypatch, cells):
+    """The RunResult of every replicate that ``sweep(cells)`` runs, in order."""
+    results = []
+    run = harness.run_scenario
+    monkeypatch.setattr(harness, "run_scenario",
+                        lambda *args, **kwargs: results.append(run(*args, **kwargs)) or results[-1])
+    sweep(cells)
+    return results
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_CFGS))
+def test_swept_replicates_equal_their_own_runs_bit_for_bit(monkeypatch, name):
+    drift = name.split("-")[0]
+    base = default_config(drift, **PLAN_CFGS[name])
+    cells = sweep_configs(base, [Fraction(1, 5)], [Fraction(1), Fraction(1, 5)], 3)
+    swept = swept_results(monkeypatch, cells)
+    assert [r.config for r in swept] == [cfg for cell in cells for cfg in cell]
+    for result in swept:
+        own = run_scenario(result.config)
+        for array in ("model_only", "kf_mean", "dlf_mean"):
+            assert np.array_equal(getattr(result, array), getattr(own, array)), array
+        for series in fields(harness.MetricTable):
+            assert np.array_equal(getattr(result.metrics, series.name),
+                                  getattr(own.metrics, series.name)), series.name
+
+
+def test_a_plan_refuses_a_config_that_differs_beyond_its_seeds():
+    cfg = small_cfg()
+    plan = harness.DlfPlan()
+    run_scenario(cfg, plan=plan)
+    assert plan.recorded
+    run_scenario(replace(cfg, seed_truth=7, seed_model=8, seed_obs=9), plan=plan)
+    with pytest.raises(ValueError, match=r"differs in \['obs_var'\]"):
+        run_scenario(replace(cfg, obs_var=2 * cfg.obs_var), plan=plan)
+    with pytest.raises(ValueError, match="pool trace"):
+        run_scenario(cfg, collect_pool_trace=True, plan=plan)
+
+
+def test_a_pool_names_the_observation_each_datum_came_from():
+    result = run_scenario(small_cfg())
+    readings = {(o.time_index, o.station): o.value for o in result.observations}
+    pools = 0
+    for state in harness._steps(result.config, result.truth, result.observations):
+        pool = state[-1].pool
+        pools += len(pool) > 0
+        assert [readings[source] for source in zip(pool.origin_time.tolist(),
+                                                   pool.origin_station.tolist())] == (
+            pool.value.tolist())
+    assert pools > 0
+
+
+def peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+DENSE_CELL_CFG = default_config("accelerating", n_steps=60)  # xi = tau = 1: k = N every step
+
+
+def test_a_one_replicate_sweep_records_no_plan():
+    cells = sweep_configs(DENSE_CELL_CFG, [Fraction(1)], [Fraction(1)], 1)
+    plan = harness.DlfPlan()
+    run_scenario(cells[0][0], plan=plan)
+    run_peak = peak_bytes(lambda: run_scenario(cells[0][0]))
+    sweep_peak = peak_bytes(lambda: sweep(cells))
+    assert plan.nbytes > 2 * run_peak  # so a plan would show
+    assert sweep_peak < 1.25 * run_peak, (sweep_peak, run_peak)
+
+
+def test_a_sweep_frees_each_cells_plan_when_the_cell_ends():
+    cells = sweep_configs(DENSE_CELL_CFG, [Fraction(1)], [Fraction(1), Fraction(1, 2)], 2)
+    plans = [harness.DlfPlan() for _ in cells]
+    for plan, cell in zip(plans, cells):
+        run_scenario(cell[0], plan=plan)
+    largest = max(plan.nbytes for plan in plans)
+    assert min(plan.nbytes for plan in plans) > 0.9 * largest  # two plans would not fit
+    run_peak = peak_bytes(lambda: run_scenario(cells[0][0]))
+    sweep_peak = peak_bytes(lambda: sweep(cells))
+    assert largest < sweep_peak < largest + 1.5 * run_peak, (sweep_peak, largest, run_peak)
 
 
 # --- config files --------------------------------------------------------------------

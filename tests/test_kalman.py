@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from dlfilter.checks import condition_on_stations
 from dlfilter.core import NoiseSource, StateEstimate, make_grid
-from dlfilter.kalman import FilterError, analysis, condition, forecast, gain_columns
+from dlfilter.kalman import (FilterError, analysis, condition, forecast, gain_columns,
+                             update_mean)
 from dlfilter.model import ModelConfig, model_step
 from dlfilter.obsnet import Observation
 
@@ -191,6 +192,24 @@ def test_condition_matches_condition_on_stations():
         np.testing.assert_allclose(post_mean, ref_mean, rtol=0, atol=1e-10 * scale)
         np.testing.assert_allclose(post_cov, ref_cov, rtol=0, atol=1e-10 * scale)
         np.testing.assert_array_equal(post_cov, post_cov.T)
+
+
+@pytest.mark.parametrize("n, k", [(50, 50), (50, 13), (400, 80)])
+def test_kept_factors_repeat_the_posterior_mean_bit_for_bit(n, k):
+    rng = np.random.default_rng(n + k)
+    cov = random_spd(rng, n)
+    mean = rng.standard_normal(n)
+    stations = rng.choice(n, size=k, replace=False)
+    values = rng.standard_normal(k)
+    factors = []
+    post_mean, post_cov = condition(mean, cov, stations, values, 0.02, factors_out=factors)
+    plain_mean, plain_cov = condition(mean, cov, stations, values, 0.02)
+    np.testing.assert_array_equal(post_mean, plain_mean)
+    np.testing.assert_array_equal(post_cov, plain_cov)
+    (factor, weights), = factors
+    assert factor.shape == (k, k) and weights.shape == (k, n)
+    condition(rng.standard_normal(n), random_spd(rng, n), stations, values, 0.5)  # reuses the workspace
+    assert np.array_equal(update_mean(mean, stations, values, factor, weights), post_mean)
 
 
 def test_gain_columns_match_dense_gain():
