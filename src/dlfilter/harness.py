@@ -283,14 +283,13 @@ class DlfPlan:
                              f"in their seeds; this one differs in {differ}")
 
     @staticmethod
-    def _entry(result: DlfStepResult, factors: list) -> tuple:
+    def _informed(result: DlfStepResult, factors: list) -> tuple | None:
         if not factors:
-            return result.estimate.trace, None
+            return None
         (factor, weights), = factors
         chosen = result.assembly.selected
-        return result.estimate.trace, (result.assembly.informed_stations,
-                                       result.pool.origin_time[chosen],
-                                       result.pool.origin_station[chosen], factor, weights)
+        return (result.assembly.informed_stations, result.pool.origin_time[chosen],
+                result.pool.origin_station[chosen], factor, weights)
 
 
 def _steps(cfg: ScenarioConfig, truth: TruthField, observations: list[Observation],
@@ -361,7 +360,7 @@ def _steps(cfg: ScenarioConfig, truth: TruthField, observations: list[Observatio
             dlf_result = dlf_step(dlf_prior, dlf_result.pool, fresh, grid, truth_cfg, factors)
             dlf_mean, dlf_trace = dlf_result.estimate.mean, dlf_result.estimate.trace
             if recording:
-                entries.append(DlfPlan._entry(dlf_result, factors))
+                entries.append((dlf_trace, DlfPlan._informed(dlf_result, factors)))
         yield model_row, kf_est, dlf_mean, dlf_trace, dlf_result
     if recording:
         plan._keep(cfg, entries)
