@@ -42,6 +42,10 @@ POOL_CAP_FACTOR = 4
 _NODE_EPS = 1e-9
 
 
+_POOL_DTYPES = (("value", float), ("position", float), ("variance", float),
+                ("origin_time", np.int64), ("origin_station", np.int64))
+
+
 @dataclass(frozen=True)
 class Pool:
     """Live observations riding the flow, all at one time index.
@@ -60,19 +64,17 @@ class Pool:
     origin_station: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("value", "position", "variance"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        n = self.value.shape[0]
-        origin_station = np.full(n, -1) if self.origin_station is None else self.origin_station
-        for name, origin in (("origin_time", self.origin_time),
-                             ("origin_station", origin_station)):
-            object.__setattr__(self, name, np.asarray(origin, dtype=np.int64))
-        if any(getattr(self, name).shape != (n,)
-               for name in ("value", "position", "variance", "origin_time", "origin_station")):
-            raise ValueError("pool arrays must be one-dimensional and of equal length")
-        if np.any(self.variance <= 0):
+        n = len(self.value)
+        if self.origin_station is None:
+            object.__setattr__(self, "origin_station", np.full(n, -1))
+        for name, dtype in _POOL_DTYPES:
+            array = np.asarray(getattr(self, name), dtype=dtype)
+            if array.shape != (n,):
+                raise ValueError("pool arrays must be one-dimensional and of equal length")
+            object.__setattr__(self, name, array)
+        if (self.variance <= 0).any():
             raise ValueError("live observation variance must be positive")
-        if np.any(self.origin_time > self.time_index):
+        if (self.origin_time > self.time_index).any():
             raise ValueError("origin_time cannot follow the pool's time_index")
 
     @classmethod

@@ -342,20 +342,24 @@ def _steps(cfg: ScenarioConfig, truth: TruthField, observations: list[Observatio
         speeds = _step_speeds(truth_cfg, grid, step)
         model_row = model_step(model_row, grid, model_only_cfg, speeds, model_src)
         kf_est = forecast(kf_est, grid, model_cfg, speeds, out=kf_est.covariance)
+        # The DLF forecasts before the KF analysis: rebinding dlf_prior frees the
+        # last step's prior before the KF's posterior is allocated.
+        if applying:
+            dlf_mean = forecast_mean(dlf_mean, grid, speeds)
+        else:
+            dlf_prior = forecast(dlf_result.estimate, grid, model_cfg, speeds,
+                                 out=dlf_result.estimate.covariance)
+
         fresh = fresh_by_step.get(step, [])
         if fresh:
             kf_est = analysis(kf_est, fresh, obs_mat, cfg.obs_var)
-
         if applying:
             dlf_trace, informed = plan._entries[step]
-            dlf_mean = forecast_mean(dlf_mean, grid, speeds)
             if informed is not None:
                 stations, times, origins, factor, weights = informed
                 dlf_mean = update_mean(dlf_mean, stations, readings[times, origins],
                                        factor, weights)
         else:
-            dlf_prior = forecast(dlf_result.estimate, grid, model_cfg, speeds,
-                                 out=dlf_result.estimate.covariance)
             factors = [] if recording else None
             dlf_result = dlf_step(dlf_prior, dlf_result.pool, fresh, grid, truth_cfg, factors)
             dlf_mean, dlf_trace = dlf_result.estimate.mean, dlf_result.estimate.trace
