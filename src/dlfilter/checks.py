@@ -206,7 +206,8 @@ def check_semi_lagrangian(n_steps: int = 100) -> CheckResult:
     speed = 0.9
     cfg = TruthConfig(drift=Drift.ACCELERATING, base_speed=speed, speed_ramp=0.0,
                       pulse_center=1.0)
-    pool = Pool(0, value=[1.0], position=[0.5], variance=[0.02], origin_time=[0])
+    pool = Pool(0, value=[1.0], position=[0.5], variance=[0.02], origin_time=[0],
+                origin_station=[0])
     amp = 0.01
     expected_var = 0.02
     ok = True

@@ -51,7 +51,7 @@ class Pool:
     """Live observations riding the flow, all at one time index.
 
     Entry k is a measurement taken at step ``origin_time[k]`` and station
-    ``origin_station[k]`` (-1 where the caller gave none), now at
+    ``origin_station[k]``, now at
     ``position[k]`` with inflated ``variance[k]``. Entries are kept in
     arrival order, oldest first.
     """
@@ -61,12 +61,10 @@ class Pool:
     position: np.ndarray
     variance: np.ndarray
     origin_time: np.ndarray
-    origin_station: np.ndarray | None = None
+    origin_station: np.ndarray
 
     def __post_init__(self):
         n = len(self.value)
-        if self.origin_station is None:
-            object.__setattr__(self, "origin_station", np.full(n, -1))
         for name, dtype in _POOL_DTYPES:
             array = np.asarray(getattr(self, name), dtype=dtype)
             if array.shape != (n,):

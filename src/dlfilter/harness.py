@@ -236,7 +236,7 @@ def _without_seeds(cfg: ScenarioConfig) -> dict:
 
 
 class DlfPlan:
-    """One cell's DLF likelihood structure, recorded on one run and applied to others.
+    """One cell's DLF likelihood structure, handed step by step from one run to the others.
 
     It relies on one invariant: the DLF likelihood does not depend on the
     data. The scenario is linear and Gaussian, so where each pooled datum
@@ -245,55 +245,85 @@ class DlfPlan:
     covariances they leave, follow from the config's physics, grid and
     network; the seeds move only the values read. A linear filter's gains
     can be computed before any data arrive (Anderson & Moore, *Optimal
-    Filtering*, 1979, §3.1). So a plan recorded on one config gives, for a
-    config that differs from it in its three seeds only, that config's DLF
-    means and traces bit for bit, and it refuses any other config. A
+    Filtering*, 1979, §3.1). So the steps of a run whose config differs in
+    its three seeds only can take their DLF means and traces from a
+    recording run's steps, bit for bit; a plan refuses any other config. A
     likelihood that reads the data (a datum variance that depends on the
     forecast mean, say) breaks the invariant: a config with one must not
     share a plan.
 
-    A plan is empty until a run records into it. Entry n holds the DLF
-    covariance trace after step n and, at a step that informs k > 0
-    stations, the informed stations S, the origin step and origin station of
-    each winning datum, and the factors L and W = L^-1 P[S, :] of the
-    multi-analysis: k^2 + kN doubles.
+    ``run_scenario(cfg, plan=DlfPlan(followers))`` records: at each step,
+    after its own DLF step, the run hands the plan one entry, the DLF
+    covariance trace and, at a step that informs k > 0 stations, the
+    informed stations S, the origin step and origin station of each winning
+    datum, and the factors L and W = L^-1 P[S, :] of the multi-analysis. The
+    plan advances the run of every follower config by that step and drops
+    the entry. So the runs go in lockstep, the plan holds one step's k^2 + kN
+    doubles at a time, and each follower holds what its own run holds but
+    the DLF covariance: its Kalman covariance and its per-step arrays.
+    :meth:`results` gives the followers' runs once the recording run has
+    ended.
     """
 
-    def __init__(self):
-        self._structure: dict | None = None
-        self._entries: list[tuple] = []
+    def __init__(self, followers: list[ScenarioConfig]):
+        self._configs = list(followers)
+        self._runs: list[_Run] | None = None
+        self._steps: list[typing.Iterator] = []
+        self._entry: tuple | None = None
+        self._step = self._last_step = -1
 
-    @property
-    def recorded(self) -> bool:
-        return self._structure is not None
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the arrays the plan holds."""
-        return sum(a.nbytes for _, informed in self._entries if informed for a in informed)
-
-    def _keep(self, cfg: ScenarioConfig, entries: list[tuple]) -> None:
-        self._structure, self._entries = _without_seeds(cfg), entries
-
-    def _check(self, cfg: ScenarioConfig) -> None:
+    def _start(self, cfg: ScenarioConfig) -> None:
+        if self._runs is not None:
+            raise ValueError("a DLF plan records one run")
         structure = _without_seeds(cfg)
-        differ = sorted(k for k, v in structure.items() if self._structure[k] != v)
-        if differ:
-            raise ValueError(f"a DLF plan applies only to configs that differ from its own "
-                             f"in their seeds; this one differs in {differ}")
+        for other in self._configs:
+            differ = sorted(k for k, v in _without_seeds(other).items() if structure[k] != v)
+            if differ:
+                raise ValueError(f"a DLF plan applies only to configs that differ from its "
+                                 f"recording config in their seeds; one differs in {differ}")
+        self._last_step = cfg.n_steps
+        self._runs = [_Run(other) for other in self._configs]
+        self._steps = [_steps(run.cfg, run.truth, run.observations, follow=self)
+                       for run in self._runs]
 
-    @staticmethod
-    def _informed(result: DlfStepResult, factors: list) -> tuple | None:
-        if not factors:
-            return None
-        (factor, weights), = factors
-        chosen = result.assembly.selected
-        return (result.assembly.informed_stations, result.pool.origin_time[chosen],
-                result.pool.origin_station[chosen], factor, weights)
+    def record(self, step: int, result: DlfStepResult, factors: list | None) -> None:
+        """Hand the followers step ``step`` of the recording run, then drop it."""
+        informed = None
+        if factors:
+            (factor, weights), = factors
+            chosen = result.assembly.selected
+            informed = (result.assembly.informed_stations, result.pool.origin_time[chosen],
+                        result.pool.origin_station[chosen], factor, weights)
+        self._step, self._entry = step, (result.estimate.trace, informed)
+        for run, steps in zip(self._runs, self._steps):
+            run.add(step, *next(steps))
+        self._entry = None
+        if step == self._last_step:  # a follower's steps refer to the plan: end the cycle
+            self._steps = []
+
+    def apply(self, step: int, mean: np.ndarray, readings: np.ndarray) -> tuple[np.ndarray, float]:
+        """A follower's DLF mean and trace at ``step``, from its forecast mean.
+
+        ``readings[t, s]`` is the follower's observation of station s at step t.
+        """
+        if step != self._step or self._entry is None:
+            raise RuntimeError(f"no plan entry for step {step}")
+        trace, informed = self._entry
+        if informed is not None:
+            stations, times, origins, factor, weights = informed
+            mean = update_mean(mean, stations, readings[times, origins], factor, weights)
+        return mean, trace
+
+    def results(self) -> list[RunResult]:
+        """The followers' runs, in the order of their configs."""
+        if self._runs is None or any(run.steps_done != run.cfg.n_steps + 1
+                                     for run in self._runs):
+            raise RuntimeError("the recording run has not ended")
+        return [run.result() for run in self._runs]
 
 
 def _steps(cfg: ScenarioConfig, truth: TruthField, observations: list[Observation],
-           plan: DlfPlan | None = None):
+           record: DlfPlan | None = None, follow: DlfPlan | None = None):
     """Advance the model-only trajectory, the KF and the DLF over one run.
 
     Each step's station speeds drive the model-only step and the one model
@@ -302,10 +332,10 @@ def _steps(cfg: ScenarioConfig, truth: TruthField, observations: list[Observatio
     for steps 0 to n_steps; step 0 is the initial state, with an empty pool
     and assembly. The same inputs replay the same steps bit for bit.
 
-    An empty ``plan`` is filled from this run's DLF steps. A recorded one
-    replaces them: the DLF mean is forecast and updated from the plan's
-    factors and this run's readings at the plan's sources, no DLF
-    covariance exists, and ``dlf_step_result`` is None.
+    A ``record`` plan gets each DLF step as it is made. Under a ``follow``
+    plan the DLF mean is forecast and then updated by the plan from this
+    run's readings, no DLF covariance exists, and ``dlf_step_result`` is
+    None (see :class:`DlfPlan`).
 
     Each filter forecasts into its last estimate's covariance buffer, so a
     yielded covariance is valid only until the next step; a consumer that
@@ -317,25 +347,23 @@ def _steps(cfg: ScenarioConfig, truth: TruthField, observations: list[Observatio
     model_cfg = ModelConfig(noise_var=cfg.model_noise_var)
     model_only_cfg = model_cfg if cfg.model_mode == "stochastic" else ModelConfig(noise_var=0.0)
     model_src = NoiseSource(cfg.seed_model)
-    applying = plan is not None and plan.recorded
-    recording = plan is not None and not applying
 
     model_row = pulse_profile(grid, cfg.pulse_center)
     kf_est = StateEstimate(time_index=0, mean=model_row,
                            covariance=cfg.init_var * np.eye(grid.n_points))
-    dlf_mean, dlf_result = model_row, None
-    if applying:
-        plan._check(cfg)
+    dlf_result = None
+    if follow is not None:
         readings = np.full((grid.n_steps + 1, grid.n_points), np.nan)
         for obs in observations:
             readings[obs.time_index, obs.station] = obs.value
-        dlf_trace = plan._entries[0][0]
+        dlf_mean, dlf_trace = follow.apply(0, model_row, readings)
     else:
         # The filters own their buffers from here on: the DLF starts on a copy.
         dlf_result = DlfStepResult(replace(kf_est, covariance=kf_est.covariance.copy()),
                                    Pool.empty(time_index=0), LikelihoodAssembly.empty())
-        dlf_trace = dlf_result.estimate.trace
-        entries = [(dlf_trace, None)] if recording else None
+        dlf_mean, dlf_trace = model_row, dlf_result.estimate.trace
+        if record is not None:
+            record.record(0, dlf_result, None)
     yield model_row, kf_est, dlf_mean, dlf_trace, dlf_result
 
     for step in range(1, grid.n_steps + 1):
@@ -344,7 +372,7 @@ def _steps(cfg: ScenarioConfig, truth: TruthField, observations: list[Observatio
         kf_est = forecast(kf_est, grid, model_cfg, speeds, out=kf_est.covariance)
         # The DLF forecasts before the KF analysis: rebinding dlf_prior frees the
         # last step's prior before the KF's posterior is allocated.
-        if applying:
+        if follow is not None:
             dlf_mean = forecast_mean(dlf_mean, grid, speeds)
         else:
             dlf_prior = forecast(dlf_result.estimate, grid, model_cfg, speeds,
@@ -353,65 +381,71 @@ def _steps(cfg: ScenarioConfig, truth: TruthField, observations: list[Observatio
         fresh = fresh_by_step.get(step, [])
         if fresh:
             kf_est = analysis(kf_est, fresh, obs_mat, cfg.obs_var)
-        if applying:
-            dlf_trace, informed = plan._entries[step]
-            if informed is not None:
-                stations, times, origins, factor, weights = informed
-                dlf_mean = update_mean(dlf_mean, stations, readings[times, origins],
-                                       factor, weights)
+        if follow is not None:
+            dlf_mean, dlf_trace = follow.apply(step, dlf_mean, readings)
         else:
-            factors = [] if recording else None
+            factors = [] if record is not None else None
             dlf_result = dlf_step(dlf_prior, dlf_result.pool, fresh, grid, truth_cfg, factors)
             dlf_mean, dlf_trace = dlf_result.estimate.mean, dlf_result.estimate.trace
-            if recording:
-                entries.append((dlf_trace, DlfPlan._informed(dlf_result, factors)))
+            if record is not None:
+                record.record(step, dlf_result, factors)
         yield model_row, kf_est, dlf_mean, dlf_trace, dlf_result
-    if recording:
-        plan._keep(cfg, entries)
+
+
+class _Run:
+    """One run's truth, observations and the per-step arrays its steps fill."""
+
+    def __init__(self, cfg: ScenarioConfig, collect_pool_trace: bool = False):
+        self.cfg = cfg
+        self.truth = generate_truth(cfg.grid, cfg.truth_config, NoiseSource(cfg.seed_truth))
+        self.observations = sample_observations(self.truth, cfg.network,
+                                                NoiseSource(cfg.seed_obs),
+                                                max_step=cfg.last_data_step)
+        self.model_only = np.empty_like(self.truth.values)
+        self.kf_mean = np.empty_like(self.truth.values)
+        self.dlf_mean = np.empty_like(self.truth.values)
+        self.trace_kf = np.empty(cfg.n_steps + 1)
+        self.trace_dlf = np.empty(cfg.n_steps + 1)
+        self.pool_trace: list[tuple] | None = [] if collect_pool_trace else None
+        self.steps_done = 0
+
+    def add(self, step, model_row, kf_est, dlf_row, dlf_trace, dlf_result) -> None:
+        self.model_only[step] = model_row
+        self.kf_mean[step] = kf_est.mean
+        self.dlf_mean[step] = dlf_row
+        self.trace_kf[step] = kf_est.trace
+        self.trace_dlf[step] = dlf_trace
+        if self.pool_trace is not None:
+            pool = dlf_result.pool
+            selected = np.zeros(len(pool), dtype=int)
+            selected[dlf_result.assembly.selected] = 1
+            self.pool_trace.extend((step, *row) for row in zip(
+                pool.origin_time.tolist(), pool.position.tolist(), pool.variance.tolist(),
+                selected.tolist()))
+        self.steps_done = step + 1
+
+    def result(self) -> RunResult:
+        metrics = _compute_metrics(self.cfg.grid, self.truth, self.model_only, self.kf_mean,
+                                   self.dlf_mean, self.trace_kf, self.trace_dlf)
+        return RunResult(config=self.cfg, truth=self.truth, observations=self.observations,
+                         model_only=self.model_only, kf_mean=self.kf_mean,
+                         dlf_mean=self.dlf_mean, metrics=metrics, pool_trace=self.pool_trace)
 
 
 def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False,
                  plan: DlfPlan | None = None) -> RunResult:
     """Run truth, model-only, Kalman, and dynamic likelihood estimators once.
 
-    Keeps each step's means and covariance traces, not the covariances. An
-    empty ``plan`` records this run's DLF likelihood structure; a recorded
-    one stands in for the DLF's pool and covariance work (see
-    :class:`DlfPlan`). Either way the result is the same.
+    Keeps each step's means and covariance traces, not the covariances. A
+    ``plan`` records this run's DLF steps and carries its follower configs'
+    runs along (see :class:`DlfPlan`); this run's result is the same.
     """
-    if collect_pool_trace and plan is not None and plan.recorded:
-        raise ValueError("a pool trace needs the DLF's own steps, not a recorded plan")
-    grid = cfg.grid
-    truth = generate_truth(grid, cfg.truth_config, NoiseSource(cfg.seed_truth))
-    observations = sample_observations(truth, cfg.network, NoiseSource(cfg.seed_obs),
-                                       max_step=cfg.last_data_step)
-
-    model_only = np.empty_like(truth.values)
-    kf_mean = np.empty_like(truth.values)
-    dlf_mean = np.empty_like(truth.values)
-    trace_kf = np.empty(grid.n_steps + 1)
-    trace_dlf = np.empty(grid.n_steps + 1)
-    trace_rows: list[tuple] | None = [] if collect_pool_trace else None
-
-    for step, (model_row, kf_est, dlf_row, dlf_trace, dlf_result) in enumerate(
-            _steps(cfg, truth, observations, plan)):
-        model_only[step] = model_row
-        kf_mean[step] = kf_est.mean
-        dlf_mean[step] = dlf_row
-        trace_kf[step] = kf_est.trace
-        trace_dlf[step] = dlf_trace
-        if trace_rows is not None:
-            pool = dlf_result.pool
-            selected = np.zeros(len(pool), dtype=int)
-            selected[dlf_result.assembly.selected] = 1
-            trace_rows.extend((step, *row) for row in zip(
-                pool.origin_time.tolist(), pool.position.tolist(), pool.variance.tolist(),
-                selected.tolist()))
-
-    metrics = _compute_metrics(grid, truth, model_only, kf_mean, dlf_mean, trace_kf, trace_dlf)
-    return RunResult(config=cfg, truth=truth, observations=observations,
-                     model_only=model_only, kf_mean=kf_mean, dlf_mean=dlf_mean,
-                     metrics=metrics, pool_trace=trace_rows)
+    run = _Run(cfg, collect_pool_trace)
+    if plan is not None:
+        plan._start(cfg)
+    for step, state in enumerate(_steps(cfg, run.truth, run.observations, plan)):
+        run.add(step, *state)
+    return run.result()
 
 
 def _compute_metrics(grid, truth, model_only, kf_mean, dlf_mean, trace_kf,
@@ -466,12 +500,16 @@ def sweep_configs(base: ScenarioConfig, xi_list, tau_list,
 def summarize_cell(cell: list[ScenarioConfig]) -> list[dict[str, float]]:
     """The summary of each replicate run of one cell of :func:`sweep_configs`.
 
-    The first replicate records the cell's :class:`DlfPlan` and the others
-    apply it, so each summary is that of ``run_scenario`` of its config. The
-    plan is dropped when the cell ends; a one-replicate cell records none.
+    The first replicate's run records the cell's :class:`DlfPlan` and carries
+    the other replicates' runs along with it, step by step, so each summary
+    is that of ``run_scenario`` of its config. A one-replicate cell makes no
+    plan.
     """
-    plan = DlfPlan() if len(cell) > 1 else None
-    return [summarize_run(run_scenario(cfg, plan=plan)) for cfg in cell]
+    if len(cell) == 1:
+        return [summarize_run(run_scenario(cell[0]))]
+    plan = DlfPlan(cell[1:])
+    first = run_scenario(cell[0], plan=plan)
+    return [summarize_run(result) for result in (first, *plan.results())]
 
 
 def sweep(cells: list[list[ScenarioConfig]]) -> list[dict]:

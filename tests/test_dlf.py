@@ -26,7 +26,7 @@ def constant_speed_cfg(speed):
 def pool_of(values=(1.0,), positions=(0.5,), variances=(0.02,), origins=None, time_index=0):
     origins = [time_index] * len(values) if origins is None else origins
     return Pool(time_index, value=values, position=positions, variance=variances,
-                origin_time=origins)
+                origin_time=origins, origin_station=[0] * len(values))
 
 
 def live(value=1.0, position=0.5, variance=0.02, origin=0, current=0):
@@ -60,7 +60,8 @@ def test_pool_rejects_invalid_entries():
     with pytest.raises(ValueError):
         live(origin=3, current=2)
     with pytest.raises(ValueError):
-        Pool(0, value=[1.0, 2.0], position=[0.5], variance=[0.02], origin_time=[0])
+        Pool(0, value=[1.0, 2.0], position=[0.5], variance=[0.02], origin_time=[0],
+             origin_station=[0])
 
 
 # --- datum transport -------------------------------------------------------------

@@ -368,9 +368,9 @@ PLAN_CFGS = {
 def swept_results(monkeypatch, cells):
     """The RunResult of every replicate that ``sweep(cells)`` runs, in order."""
     results = []
-    run = harness.run_scenario
-    monkeypatch.setattr(harness, "run_scenario",
-                        lambda *args, **kwargs: results.append(run(*args, **kwargs)) or results[-1])
+    summarize = harness.summarize_run
+    monkeypatch.setattr(harness, "summarize_run",
+                        lambda result: results.append(result) or summarize(result))
     sweep(cells)
     return results
 
@@ -393,14 +393,17 @@ def test_swept_replicates_equal_their_own_runs_bit_for_bit(monkeypatch, name):
 
 def test_a_plan_refuses_a_config_that_differs_beyond_its_seeds():
     cfg = small_cfg()
-    plan = harness.DlfPlan()
-    run_scenario(cfg, plan=plan)
-    assert plan.recorded
-    run_scenario(replace(cfg, seed_truth=7, seed_model=8, seed_obs=9), plan=plan)
+    plan = harness.DlfPlan([replace(cfg, seed_truth=7, seed_model=8, seed_obs=9)])
+    with pytest.raises(RuntimeError, match="not ended"):
+        plan.results()
+    recorded = run_scenario(cfg, collect_pool_trace=True, plan=plan)
+    assert recorded.pool_trace == run_scenario(cfg, collect_pool_trace=True).pool_trace
+    (follower,) = plan.results()
+    assert np.array_equal(follower.dlf_mean, run_scenario(follower.config).dlf_mean)
+    with pytest.raises(ValueError, match="records one run"):
+        run_scenario(cfg, plan=plan)
     with pytest.raises(ValueError, match=r"differs in \['obs_var'\]"):
-        run_scenario(replace(cfg, obs_var=2 * cfg.obs_var), plan=plan)
-    with pytest.raises(ValueError, match="pool trace"):
-        run_scenario(cfg, collect_pool_trace=True, plan=plan)
+        run_scenario(cfg, plan=harness.DlfPlan([replace(cfg, obs_var=2 * cfg.obs_var)]))
 
 
 def test_a_pool_names_the_observation_each_datum_came_from():
@@ -425,29 +428,42 @@ def peak_bytes(fn) -> int:
         tracemalloc.stop()
 
 
-DENSE_CELL_CFG = default_config("accelerating", n_steps=60)  # xi = tau = 1: k = N every step
+def test_a_one_replicate_cell_makes_no_plan(monkeypatch):
+    plans = []
+    run = harness.run_scenario
+    monkeypatch.setattr(harness, "run_scenario",
+                        lambda cfg, plan=None: plans.append(plan) or run(cfg, plan=plan))
+    sweep(sweep_configs(small_cfg(), [Fraction(1), Fraction(1, 5)], [Fraction(1, 5)], 1))
+    assert plans == [None, None]
 
 
-def test_a_one_replicate_sweep_records_no_plan():
-    cells = sweep_configs(DENSE_CELL_CFG, [Fraction(1)], [Fraction(1)], 1)
-    plan = harness.DlfPlan()
-    run_scenario(cells[0][0], plan=plan)
-    run_peak = peak_bytes(lambda: run_scenario(cells[0][0]))
+# The benchmark's grid-n400 cell, shortened: about 100 stations are informed per step.
+GRID_CELL_CFG = default_config("ou", n_points=400, n_steps=40, space_freq=Fraction(1, 5),
+                               time_freq=Fraction(1, 10))
+
+
+def test_a_sweep_holds_one_plan_step_and_its_followers_runs():
+    # Kept for the whole run, this cell's plan would be ~16 N x N matrices.
+    cfg = GRID_CELL_CFG
+    run_scenario(cfg)  # the forecast and conditioning workspace, which stays
+    run_peak = peak_bytes(lambda: run_scenario(cfg))
+    sweep_peak = peak_bytes(lambda: sweep(sweep_configs(cfg, [cfg.space_freq],
+                                                        [cfg.time_freq], 2)))
+    # The follower keeps its Kalman covariance and per-step arrays, and the
+    # plan one step's factors, at most 2 N x N.
+    square = cfg.n_points ** 2 * np.dtype(float).itemsize
+    assert sweep_peak < run_peak + 6 * square, (sweep_peak / square, run_peak / square)
+
+
+def test_a_sweep_frees_each_cells_followers_when_the_cell_ends():
+    cfg = replace(GRID_CELL_CFG, n_steps=20)
+    cells = sweep_configs(cfg, [cfg.space_freq], [Fraction(1, 5), Fraction(1, 10)], 3)
+    sweep(cells)
+    cell_peaks = [peak_bytes(lambda: sweep([cell])) for cell in cells]
     sweep_peak = peak_bytes(lambda: sweep(cells))
-    assert plan.nbytes > 2 * run_peak  # so a plan would show
-    assert sweep_peak < 1.25 * run_peak, (sweep_peak, run_peak)
-
-
-def test_a_sweep_frees_each_cells_plan_when_the_cell_ends():
-    cells = sweep_configs(DENSE_CELL_CFG, [Fraction(1)], [Fraction(1), Fraction(1, 2)], 2)
-    plans = [harness.DlfPlan() for _ in cells]
-    for plan, cell in zip(plans, cells):
-        run_scenario(cell[0], plan=plan)
-    largest = max(plan.nbytes for plan in plans)
-    assert min(plan.nbytes for plan in plans) > 0.9 * largest  # two plans would not fit
-    run_peak = peak_bytes(lambda: run_scenario(cells[0][0]))
-    sweep_peak = peak_bytes(lambda: sweep(cells))
-    assert largest < sweep_peak < largest + 1.5 * run_peak, (sweep_peak, largest, run_peak)
+    square = cfg.n_points ** 2 * np.dtype(float).itemsize
+    assert sweep_peak < max(cell_peaks) + square / 4, (
+        sweep_peak / square, [peak / square for peak in cell_peaks])
 
 
 # --- config files --------------------------------------------------------------------
