@@ -45,7 +45,7 @@ class ObsNetwork:
         return len(self.station_indices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     """One scalar measurement at a grid station and model-step index."""
 

@@ -456,7 +456,7 @@ def test_a_sweep_holds_one_plan_step_and_its_followers_runs():
 
 
 def test_a_sweep_frees_each_cells_followers_when_the_cell_ends():
-    cfg = replace(GRID_CELL_CFG, n_steps=20)
+    cfg = replace(GRID_CELL_CFG, n_points=200, n_steps=20)
     cells = sweep_configs(cfg, [cfg.space_freq], [Fraction(1, 5), Fraction(1, 10)], 3)
     sweep(cells)
     cell_peaks = [peak_bytes(lambda: sweep([cell])) for cell in cells]
