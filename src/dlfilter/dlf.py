@@ -51,9 +51,8 @@ class Pool:
     """Live observations riding the flow, all at one time index.
 
     Entry k is a measurement taken at step ``origin_time[k]`` and station
-    ``origin_station[k]``, now at
-    ``position[k]`` with inflated ``variance[k]``. Entries are kept in
-    arrival order, oldest first.
+    ``origin_station[k]``, now at ``position[k]`` with inflated
+    ``variance[k]``. Entries are kept in arrival order, oldest first.
     """
 
     time_index: int
