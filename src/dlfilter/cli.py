@@ -9,8 +9,7 @@ from pathlib import Path
 
 from . import __version__
 from .checks import run_all
-from .harness import (load_config, run_scenario, sweep, sweep_configs, write_outputs,
-                      write_sweep_csv)
+from .harness import load_run, run_scenario, sweep, sweep_configs, write_outputs, write_sweep_csv
 
 
 def _fraction_list(text: str) -> list[Fraction]:
@@ -28,7 +27,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one scenario and write its outputs")
     run_p.add_argument("--config", required=True, type=Path,
-                       help="flat key = value config file, or a manifest.json")
+                       help="flat key = value config file, or a manifest.json "
+                            "(whose recorded --pool-trace is honoured)")
     run_p.add_argument("--out", required=True, type=Path, help="output directory")
     run_p.add_argument("--pool-trace", action="store_true",
                        help="also write the per-step live-observation pool trace")
@@ -61,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
     # Bad input is caught here, before anything runs, and reported the way
     # argparse reports a bad flag; a failure past this point is a bug and raises.
     try:
-        cfg = load_config(args.config)
+        cfg, recorded_pool_trace = load_run(args.config)
         if args.command == "sweep":
             cells = sweep_configs(cfg, args.xi, args.tau, args.replicates)
     except (ValueError, OSError) as exc:
@@ -69,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.command == "run":
-        result = run_scenario(cfg, collect_pool_trace=args.pool_trace)
+        result = run_scenario(cfg, collect_pool_trace=args.pool_trace or recorded_pool_trace)
         written = write_outputs(result, args.out)
         for path in written:
             print(path)

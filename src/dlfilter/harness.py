@@ -36,7 +36,6 @@ __all__ = [
     "default_config",
     "center_of_mass",
     "circular_distance",
-    "DlfPlan",
     "run_scenario",
     "summarize_run",
     "summarize_cell",
@@ -45,6 +44,7 @@ __all__ = [
     "write_outputs",
     "read_table",
     "load_config",
+    "load_run",
     "config_to_flat",
     "config_from_flat",
 ]
@@ -188,7 +188,7 @@ class RunResult:
     def _replay(self) -> tuple[list[StateEstimate], list[StateEstimate]]:
         # The stepper reuses a covariance's buffer on the next step: keep copies.
         kf, dlf = [], []
-        for _, kf_est, _, _, dlf_result in _steps(self.config, self.truth, self.observations):
+        for _, kf_est, dlf_result in _steps(self.config, self.truth, self.observations):
             for kept, est in ((kf, kf_est), (dlf, dlf_result.estimate)):
                 kept.append(replace(est, covariance=est.covariance.copy()))
         return kf, dlf
@@ -211,17 +211,17 @@ def center_of_mass(field_values: np.ndarray, grid: GridSpec):
     center per row (a scalar for a single field). Working on the circle
     avoids seam artifacts when the pulse straddles the periodic boundary.
     Negative values only drop out of the weights; callers keep their raw
-    fields.
+    fields. A row with no positive part has no center: its result is nan.
     """
     weights = np.maximum(np.asarray(field_values, dtype=float), 0.0)
-    if np.any(weights.sum(axis=-1) <= 0):
-        raise ValueError("center of mass undefined: field has no positive part")
     theta = 2.0 * math.pi * grid.positions / grid.domain_length
     sines = np.sum(weights * np.sin(theta), axis=-1)
     cosines = np.sum(weights * np.cos(theta), axis=-1)
+    defined = np.any(weights > 0, axis=-1)
     # math.atan2 (libm) per row: numpy's SIMD arctan2 can differ in the last bit.
-    angle = np.reshape([math.atan2(s, c) for s, c in
-                        zip(sines.ravel().tolist(), cosines.ravel().tolist())], sines.shape)
+    angle = np.reshape([math.atan2(s, c) if d else math.nan for s, c, d in
+                        zip(sines.ravel().tolist(), cosines.ravel().tolist(),
+                            np.ravel(defined).tolist())], sines.shape)
     return np.mod(grid.domain_length / (2.0 * math.pi) * angle, grid.domain_length)
 
 
@@ -235,107 +235,51 @@ def _without_seeds(cfg: ScenarioConfig) -> dict:
     return {f.name: getattr(cfg, f.name) for f in fields(cfg) if not f.name.startswith("seed_")}
 
 
-class DlfPlan:
-    """One cell's DLF likelihood structure, handed step by step from one run to the others.
+def _readings(grid: GridSpec, observations: list[Observation]) -> np.ndarray:
+    """``readings[t, s]``: the observation of station s at step t, nan where none was made."""
+    readings = np.full((grid.n_steps + 1, grid.n_points), np.nan)
+    for obs in observations:
+        readings[obs.time_index, obs.station] = obs.value
+    return readings
 
-    It relies on one invariant: the DLF likelihood does not depend on the
-    data. The scenario is linear and Gaussian, so where each pooled datum
-    sits, its variance, what viability sheds and the cap evicts, which datum
-    wins each station, and so the factors of every multi-analysis and the
-    covariances they leave, follow from the config's physics, grid and
-    network; the seeds move only the values read. A linear filter's gains
-    can be computed before any data arrive (Anderson & Moore, *Optimal
-    Filtering*, 1979, §3.1). So the steps of a run whose config differs in
-    its three seeds only can take their DLF means and traces from a
-    recording run's steps, bit for bit; a plan refuses any other config. A
-    likelihood that reads the data (a datum variance that depends on the
-    forecast mean, say) breaks the invariant: a config with one must not
-    share a plan.
 
-    ``run_scenario(cfg, plan=DlfPlan(followers))`` records: at each step,
-    after its own DLF step, the run hands the plan one entry, the DLF
-    covariance trace and, at a step that informs k > 0 stations, the
-    informed stations S, the origin step and origin station of each winning
-    datum, and the factors L and W = L^-1 P[S, :] of the multi-analysis. The
-    plan advances the run of every follower config by that step and drops
-    the entry. So the runs go in lockstep, the plan holds one step's k^2 + kN
-    doubles at a time, and each follower holds what its own run holds but
-    the DLF covariance: its Kalman covariance and its per-step arrays.
-    :meth:`results` gives the followers' runs once the recording run has
-    ended.
-    """
-
-    def __init__(self, followers: list[ScenarioConfig]):
-        self._configs = list(followers)
-        self._runs: list[_Run] | None = None
-        self._steps: list[typing.Iterator] = []
-        self._entry: tuple | None = None
-        self._step = self._last_step = -1
-
-    def _start(self, cfg: ScenarioConfig) -> None:
-        if self._runs is not None:
-            raise ValueError("a DLF plan records one run")
-        structure = _without_seeds(cfg)
-        for other in self._configs:
-            differ = sorted(k for k, v in _without_seeds(other).items() if structure[k] != v)
-            if differ:
-                raise ValueError(f"a DLF plan applies only to configs that differ from its "
-                                 f"recording config in their seeds; one differs in {differ}")
-        self._last_step = cfg.n_steps
-        self._runs = [_Run(other) for other in self._configs]
-        self._steps = [_steps(run.cfg, run.truth, run.observations, follow=self)
-                       for run in self._runs]
-
-    def record(self, step: int, result: DlfStepResult, factors: list | None) -> None:
-        """Hand the followers step ``step`` of the recording run, then drop it."""
-        informed = None
-        if factors:
-            (factor, weights), = factors
-            chosen = result.assembly.selected
-            informed = (result.assembly.informed_stations, result.pool.origin_time[chosen],
-                        result.pool.origin_station[chosen], factor, weights)
-        self._step, self._entry = step, (result.estimate.trace, informed)
-        for run, steps in zip(self._runs, self._steps):
-            run.add(step, *next(steps))
-        self._entry = None
-        if step == self._last_step:  # a follower's steps refer to the plan: end the cycle
-            self._steps = []
-
-    def apply(self, step: int, mean: np.ndarray, readings: np.ndarray) -> tuple[np.ndarray, float]:
-        """A follower's DLF mean and trace at ``step``, from its forecast mean.
-
-        ``readings[t, s]`` is the follower's observation of station s at step t.
-        """
-        if step != self._step or self._entry is None:
-            raise RuntimeError(f"no plan entry for step {step}")
-        trace, informed = self._entry
-        if informed is not None:
-            stations, times, origins, factor, weights = informed
-            mean = update_mean(mean, stations, readings[times, origins], factor, weights)
-        return mean, trace
-
-    def results(self) -> list[RunResult]:
-        """The followers' runs, in the order of their configs."""
-        if self._runs is None or any(run.steps_done != run.cfg.n_steps + 1
-                                     for run in self._runs):
-            raise RuntimeError("the recording run has not ended")
-        return [run.result() for run in self._runs]
+def _follow(mean: np.ndarray, grid: GridSpec, speeds: np.ndarray, readings: np.ndarray,
+            update: tuple | None) -> np.ndarray:
+    """A follower's forecast mean, updated from its own readings by the lead's factors."""
+    mean = forecast_mean(mean, grid, speeds)
+    if update is None:
+        return mean
+    stations, sources, factor, weights = update
+    return update_mean(mean, stations, readings[sources], factor, weights)
 
 
 def _steps(cfg: ScenarioConfig, truth: TruthField, observations: list[Observation],
-           record: DlfPlan | None = None, follow: DlfPlan | None = None):
-    """Advance the model-only trajectory, the KF and the DLF over one run.
+           followers: typing.Sequence[_Run] = ()):
+    """Advance the model-only trajectory, the KF and the DLF over one cell of runs.
 
     Each step's station speeds drive the model-only step and the one model
     forecast of both filters; the filters differ only in what they assimilate.
-    Yields ``(model_row, kf_estimate, dlf_mean, dlf_trace, dlf_step_result)``
-    for steps 0 to n_steps; step 0 is the initial state, with an empty pool
-    and assembly. The same inputs replay the same steps bit for bit.
+    The run of ``cfg`` (the lead) steps both filters in full. Yields
+    ``(rows, kf_estimate, dlf_step_result)`` for steps 0 to n_steps, the
+    estimates the lead's: step 0 is the initial state, with an empty pool
+    and assembly. ``rows`` holds ``(model_row, kf_mean, dlf_mean)`` of the
+    lead and then of each of ``followers``. The same inputs replay the same
+    steps bit for bit.
 
-    A ``record`` plan gets each DLF step as it is made. Under a ``follow``
-    plan the DLF mean is forecast and then updated by the plan from this
-    run's readings, no DLF covariance exists, and ``dlf_step_result`` is
-    None (see :class:`DlfPlan`).
+    A follower is the run of a config that differs from the lead's in its
+    seeds only. The scenario is linear and Gaussian, so each filter's gains
+    do not read the data and can be computed before any arrive (Anderson &
+    Moore, *Optimal Filtering*, 1979, §3.1): the covariances, and for the
+    DLF where each pooled datum sits, its variance, what viability sheds
+    and the cap evicts, and which datum wins each station, follow from the
+    config without its seeds. So a follower steps its model-only row with
+    its own noise, and each filter's mean by ``forecast_mean`` and
+    ``update_mean`` on its own readings with the lead's stations and
+    factors (L, W) of that step; the DLF reads each winning datum at its
+    origin step and station. A follower holds no covariance, and its
+    traces are the lead's. A likelihood that reads the data (a datum
+    variance that depends on the forecast mean, say) breaks this: a config
+    with one must not have followers. A cell of one asks for no factors.
 
     Each filter forecasts into its last estimate's covariance buffer, so a
     yielded covariance is valid only until the next step; a consumer that
@@ -347,49 +291,49 @@ def _steps(cfg: ScenarioConfig, truth: TruthField, observations: list[Observatio
     model_cfg = ModelConfig(noise_var=cfg.model_noise_var)
     model_only_cfg = model_cfg if cfg.model_mode == "stochastic" else ModelConfig(noise_var=0.0)
     model_src = NoiseSource(cfg.seed_model)
+    follower_srcs = [NoiseSource(run.cfg.seed_model) for run in followers]
+    follower_readings = [_readings(grid, run.observations) for run in followers]
 
-    model_row = pulse_profile(grid, cfg.pulse_center)
-    kf_est = StateEstimate(time_index=0, mean=model_row,
+    start = pulse_profile(grid, cfg.pulse_center)
+    kf_est = StateEstimate(time_index=0, mean=start,
                            covariance=cfg.init_var * np.eye(grid.n_points))
-    dlf_result = None
-    if follow is not None:
-        readings = np.full((grid.n_steps + 1, grid.n_points), np.nan)
-        for obs in observations:
-            readings[obs.time_index, obs.station] = obs.value
-        dlf_mean, dlf_trace = follow.apply(0, model_row, readings)
-    else:
-        # The filters own their buffers from here on: the DLF starts on a copy.
-        dlf_result = DlfStepResult(replace(kf_est, covariance=kf_est.covariance.copy()),
-                                   Pool.empty(time_index=0), LikelihoodAssembly.empty())
-        dlf_mean, dlf_trace = model_row, dlf_result.estimate.trace
-        if record is not None:
-            record.record(0, dlf_result, None)
-    yield model_row, kf_est, dlf_mean, dlf_trace, dlf_result
+    # The filters own their buffers from here on: the DLF starts on a copy.
+    dlf_result = DlfStepResult(replace(kf_est, covariance=kf_est.covariance.copy()),
+                               Pool.empty(time_index=0), LikelihoodAssembly.empty())
+    rows = [(start, start, start)] * (1 + len(followers))
+    yield rows, kf_est, dlf_result
 
     for step in range(1, grid.n_steps + 1):
         speeds = _step_speeds(truth_cfg, grid, step)
-        model_row = model_step(model_row, grid, model_only_cfg, speeds, model_src)
+        model_row = model_step(rows[0][0], grid, model_only_cfg, speeds, model_src)
         kf_est = forecast(kf_est, grid, model_cfg, speeds, out=kf_est.covariance)
         # The DLF forecasts before the KF analysis: rebinding dlf_prior frees the
         # last step's prior before the KF's posterior is allocated.
-        if follow is not None:
-            dlf_mean = forecast_mean(dlf_mean, grid, speeds)
-        else:
-            dlf_prior = forecast(dlf_result.estimate, grid, model_cfg, speeds,
-                                 out=dlf_result.estimate.covariance)
+        dlf_prior = forecast(dlf_result.estimate, grid, model_cfg, speeds,
+                             out=dlf_result.estimate.covariance)
 
         fresh = fresh_by_step.get(step, [])
+        kf_factors, dlf_factors = ([], []) if followers else (None, None)
         if fresh:
-            kf_est = analysis(kf_est, fresh, obs_mat, cfg.obs_var)
-        if follow is not None:
-            dlf_mean, dlf_trace = follow.apply(step, dlf_mean, readings)
-        else:
-            factors = [] if record is not None else None
-            dlf_result = dlf_step(dlf_prior, dlf_result.pool, fresh, grid, truth_cfg, factors)
-            dlf_mean, dlf_trace = dlf_result.estimate.mean, dlf_result.estimate.trace
-            if record is not None:
-                record.record(step, dlf_result, factors)
-        yield model_row, kf_est, dlf_mean, dlf_trace, dlf_result
+            kf_est = analysis(kf_est, fresh, obs_mat, cfg.obs_var, kf_factors)
+        dlf_result = dlf_step(dlf_prior, dlf_result.pool, fresh, grid, truth_cfg, dlf_factors)
+
+        kf_update = dlf_update = None
+        if kf_factors:
+            stations = np.array([obs.station for obs in fresh])
+            kf_update = (stations, (step, stations), *kf_factors[0])
+        if dlf_factors:
+            chosen, pool = dlf_result.assembly.selected, dlf_result.pool
+            dlf_update = (dlf_result.assembly.informed_stations,
+                          (pool.origin_time[chosen], pool.origin_station[chosen]),
+                          *dlf_factors[0])
+        rows = [(model_row, kf_est.mean, dlf_result.estimate.mean)] + [
+            (model_step(model, grid, model_only_cfg, speeds, src),
+             _follow(kf_mean, grid, speeds, readings, kf_update),
+             _follow(dlf_mean, grid, speeds, readings, dlf_update))
+            for (model, kf_mean, dlf_mean), src, readings
+            in zip(rows[1:], follower_srcs, follower_readings)]
+        yield rows, kf_est, dlf_result
 
 
 class _Run:
@@ -407,14 +351,10 @@ class _Run:
         self.trace_kf = np.empty(cfg.n_steps + 1)
         self.trace_dlf = np.empty(cfg.n_steps + 1)
         self.pool_trace: list[tuple] | None = [] if collect_pool_trace else None
-        self.steps_done = 0
 
-    def add(self, step, model_row, kf_est, dlf_row, dlf_trace, dlf_result) -> None:
-        self.model_only[step] = model_row
-        self.kf_mean[step] = kf_est.mean
-        self.dlf_mean[step] = dlf_row
-        self.trace_kf[step] = kf_est.trace
-        self.trace_dlf[step] = dlf_trace
+    def add(self, step, means, traces, dlf_result) -> None:
+        self.model_only[step], self.kf_mean[step], self.dlf_mean[step] = means
+        self.trace_kf[step], self.trace_dlf[step] = traces
         if self.pool_trace is not None:
             pool = dlf_result.pool
             selected = np.zeros(len(pool), dtype=int)
@@ -422,7 +362,6 @@ class _Run:
             self.pool_trace.extend((step, *row) for row in zip(
                 pool.origin_time.tolist(), pool.position.tolist(), pool.variance.tolist(),
                 selected.tolist()))
-        self.steps_done = step + 1
 
     def result(self) -> RunResult:
         metrics = _compute_metrics(self.cfg.grid, self.truth, self.model_only, self.kf_mean,
@@ -433,19 +372,33 @@ class _Run:
 
 
 def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False,
-                 plan: DlfPlan | None = None) -> RunResult:
+                 followers: typing.Sequence[ScenarioConfig] = (),
+                 follower_results: list | None = None) -> RunResult:
     """Run truth, model-only, Kalman, and dynamic likelihood estimators once.
 
-    Keeps each step's means and covariance traces, not the covariances. A
-    ``plan`` records this run's DLF steps and carries its follower configs'
-    runs along (see :class:`DlfPlan`); this run's result is the same.
+    Keeps each step's means and covariance traces, not the covariances.
+    ``followers`` are configs that differ from ``cfg`` in their seeds only;
+    their runs step in lockstep behind this one and share its filters'
+    factors (see ``_steps``), and their results are appended to
+    ``follower_results``. Each equals ``run_scenario`` of its own config,
+    and this run's result is the same with or without followers.
     """
-    run = _Run(cfg, collect_pool_trace)
-    if plan is not None:
-        plan._start(cfg)
-    for step, state in enumerate(_steps(cfg, run.truth, run.observations, plan)):
-        run.add(step, *state)
-    return run.result()
+    structure = _without_seeds(cfg)
+    for other in followers:
+        differ = sorted(k for k, v in _without_seeds(other).items() if structure[k] != v)
+        if differ:
+            raise ValueError(f"a follower must differ from its lead config in its seeds "
+                             f"only; one differs in {differ}")
+    lead = _Run(cfg, collect_pool_trace)
+    runs = [lead] + [_Run(other) for other in followers]
+    for step, (rows, kf_est, dlf_result) in enumerate(
+            _steps(cfg, lead.truth, lead.observations, runs[1:])):
+        traces = kf_est.trace, dlf_result.estimate.trace
+        for run, means in zip(runs, rows):
+            run.add(step, means, traces, dlf_result)
+    if follower_results is not None:
+        follower_results.extend(run.result() for run in runs[1:])
+    return lead.result()
 
 
 def _compute_metrics(grid, truth, model_only, kf_mean, dlf_mean, trace_kf,
@@ -465,7 +418,13 @@ def summarize_run(result: RunResult) -> dict[str, float]:
     """Scalar per-run summaries used by sweeps and comparisons."""
     m = result.metrics
     length = result.grid.domain_length
-    com_err = lambda series: float(np.mean(circular_distance(series, m.com_truth, length)))
+
+    def com_err(series) -> float:
+        # Over the steps where both centers are defined (see center_of_mass).
+        errors = circular_distance(series, m.com_truth, length)
+        defined = errors[~np.isnan(errors)]
+        return float(np.mean(defined)) if defined.size else math.nan
+
     return {
         "rmse_model": float(np.mean(m.rmse_model)),
         "rmse_kf": float(np.mean(m.rmse_kf)),
@@ -500,16 +459,13 @@ def sweep_configs(base: ScenarioConfig, xi_list, tau_list,
 def summarize_cell(cell: list[ScenarioConfig]) -> list[dict[str, float]]:
     """The summary of each replicate run of one cell of :func:`sweep_configs`.
 
-    The first replicate's run records the cell's :class:`DlfPlan` and carries
-    the other replicates' runs along with it, step by step, so each summary
-    is that of ``run_scenario`` of its config. A one-replicate cell makes no
-    plan.
+    The first replicate's run leads and the others follow it in lockstep
+    (see ``run_scenario``), so each summary is that of ``run_scenario`` of
+    its config.
     """
-    if len(cell) == 1:
-        return [summarize_run(run_scenario(cell[0]))]
-    plan = DlfPlan(cell[1:])
-    first = run_scenario(cell[0], plan=plan)
-    return [summarize_run(result) for result in (first, *plan.results())]
+    followers: list[RunResult] = []
+    lead = run_scenario(cell[0], followers=cell[1:], follower_results=followers)
+    return [summarize_run(result) for result in (lead, *followers)]
 
 
 def sweep(cells: list[list[ScenarioConfig]]) -> list[dict]:
@@ -567,14 +523,22 @@ def config_from_flat(flat: dict[str, str]) -> ScenarioConfig:
     return default_config(**{key: _parse(key, raw) for key, raw in flat.items()})
 
 
-def load_config(path) -> ScenarioConfig:
-    """Load a scenario from flat key = value text or from a run manifest."""
+def load_run(path) -> tuple[ScenarioConfig, bool]:
+    """A scenario from flat key = value text or from a run manifest, and its flag.
+
+    The flag is the manifest's ``pool_trace``: whether the run it records
+    wrote a pool trace. A config file, or a manifest without the key, gives
+    False.
+    """
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
         manifest = json.loads(text)
         if not isinstance(manifest.get("config"), dict):
             raise ValueError(f"{path}: a JSON config needs a 'config' object")
-        return config_from_flat(manifest["config"])
+        pool_trace = manifest.get("pool_trace", False)
+        if not isinstance(pool_trace, bool):
+            raise ValueError(f"{path}: 'pool_trace' must be true or false")
+        return config_from_flat(manifest["config"]), pool_trace
     flat: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -586,7 +550,12 @@ def load_config(path) -> ScenarioConfig:
         if key in flat:
             raise ValueError(f"{path}:{lineno}: duplicate key '{key}'")
         flat[key] = value
-    return config_from_flat(flat)
+    return config_from_flat(flat), False
+
+
+def load_config(path) -> ScenarioConfig:
+    """Load a scenario from flat key = value text or from a run manifest."""
+    return load_run(path)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +594,8 @@ def write_outputs(result: RunResult, out_dir) -> list[Path]:
     """Write trajectories, metrics, observations, and the run manifest.
 
     Floats carry 17 significant digits so a re-read (and a re-run from the
-    manifest) reproduces the values bit-exactly.
+    manifest) reproduces the values bit-exactly. The manifest records the
+    config and whether the run collected a pool trace (see :func:`load_run`).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -662,6 +632,7 @@ def write_outputs(result: RunResult, out_dir) -> list[Path]:
         "tool": "dlfilter",
         "version": __version__,
         "config": config_to_flat(result.config),
+        "pool_trace": result.pool_trace is not None,
         "outputs": sorted(p.name for p in written),
         "float_format": FLOAT_FMT,
     }

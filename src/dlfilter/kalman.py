@@ -150,13 +150,14 @@ def gain_columns(cov: np.ndarray, stations, variances) -> np.ndarray:
 
 
 def analysis(forecast_est: StateEstimate, obs_block: list[Observation],
-             obs_matrix: np.ndarray, obs_var: float) -> StateEstimate:
+             obs_matrix: np.ndarray, obs_var: float,
+             factors_out: list | None = None) -> StateEstimate:
     """Condition the forecast on a block of same-time observations.
 
     ``obs_matrix`` must be exactly the 0/1 selector H whose rows pick the
     observed stations, one per observation in block order; any other matrix
-    raises. The update itself runs through :func:`condition`. An empty block
-    returns the forecast unchanged.
+    raises. The update itself runs through :func:`condition`, which gets
+    ``factors_out``. An empty block returns the forecast unchanged.
     """
     if not obs_block:
         return forecast_est
@@ -177,5 +178,5 @@ def analysis(forecast_est: StateEstimate, obs_block: list[Observation],
 
     values = np.array([obs.value for obs in obs_block])
     mean, cov = condition(forecast_est.mean, forecast_est.covariance, stations, values,
-                          obs_var, time_index=forecast_est.time_index)
+                          obs_var, time_index=forecast_est.time_index, factors_out=factors_out)
     return StateEstimate(time_index=forecast_est.time_index, mean=mean, covariance=cov)

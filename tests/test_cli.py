@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dlfilter
 from dlfilter import cli
@@ -54,6 +56,27 @@ def test_run_command_pool_trace(tmp_path, config_file):
     assert "pool_trace.csv" in manifest["outputs"]
 
 
+def test_a_rerun_from_the_manifest_alone_reproduces_the_pool_trace(tmp_path, config_file):
+    first, second = tmp_path / "first", tmp_path / "second"
+    main(["run", "--config", str(config_file), "--out", str(first), "--pool-trace"])
+    assert json.loads((first / "manifest.json").read_text())["pool_trace"] is True
+    main(["run", "--config", str(first / "manifest.json"), "--out", str(second)])
+    names = sorted(p.name for p in first.iterdir())
+    assert "pool_trace.csv" in names and sorted(p.name for p in second.iterdir()) == names
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    plain = tmp_path / "plain"
+    main(["run", "--config", str(config_file), "--out", str(plain)])
+    manifest = json.loads((plain / "manifest.json").read_text())
+    assert manifest["pool_trace"] is False
+    # a manifest without the key records a run without a pool trace
+    del manifest["pool_trace"]
+    (plain / "manifest.json").write_text(json.dumps(manifest))
+    main(["run", "--config", str(plain / "manifest.json"), "--out", str(tmp_path / "rerun")])
+    assert not (tmp_path / "rerun" / "pool_trace.csv").exists()
+
+
 def test_reused_out_directory_holds_only_the_last_runs_tables(tmp_path, config_file):
     out_dir = tmp_path / "out"
     out_dir.mkdir()
@@ -74,6 +97,50 @@ def test_sweep_command(tmp_path, config_file, capsys):
     lines = (out_dir / "sweep_summary.csv").read_text().splitlines()
     assert len(lines) == 3  # header + 2 cells
     assert lines[0].startswith("xi,tau,replicates")
+
+
+@st.composite
+def config_texts(draw):
+    """Flat config text of a small scenario inside the load checks."""
+    n_points = draw(st.integers(2, 24))
+    n_steps = draw(st.integers(1, 20))
+    noise = st.floats(0.0, 1.0)
+    lines = {
+        "drift": draw(st.sampled_from(["ou", "accelerating"])),
+        "n_points": n_points,
+        "n_steps": n_steps,
+        "speed_noise": draw(noise),
+        "forcing_noise": draw(noise),
+        "init_var": draw(noise),
+        "model_noise_var": draw(noise),
+        "obs_var": draw(st.floats(1e-3, 1.0)),
+        "pulse_center": draw(st.floats(0.01, 1.99)),
+        "space_freq": f"1/{draw(st.integers(1, n_points))}",
+        "time_freq": f"1/{draw(st.integers(1, 4))}",
+        "model_mode": draw(st.sampled_from(["stochastic", "mean"])),
+        "seed_truth": draw(st.integers(0, 10_000)),
+        "seed_model": draw(st.integers(0, 10_000)),
+        "seed_obs": draw(st.integers(0, 10_000)),
+    }
+    if draw(st.booleans()):
+        lines["present_time"] = draw(st.integers(0, n_steps))
+    return "".join(f"{key} = {value}\n" for key, value in lines.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(config_texts(), st.booleans())
+def test_every_config_that_loads_runs_and_writes_its_outputs(text, pool_trace):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out_dir = Path(tmp) / "scenario.cfg", Path(tmp) / "out"
+        config.write_text(text)
+        flags = ["--pool-trace"] if pool_trace else []
+        assert main(["run", "--config", str(config), "--out", str(out_dir), *flags]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert ("pool_trace.csv" in manifest["outputs"]) == pool_trace
+        for name in manifest["outputs"]:
+            assert (out_dir / name).stat().st_size > 0, name
+        _, metrics = read_table(out_dir / "metrics.csv")
+        assert metrics.shape[0] == int(manifest["config"]["n_steps"]) + 1
 
 
 def test_check_command(capsys):
@@ -133,13 +200,16 @@ def test_bad_input_in_a_fresh_process(tmp_path):
      "dlfilter sweep: error: argument --tau: invalid _fraction_list value: '1/0'"),
     ("sweep --xi abc --tau 1", "drift = ou\n",
      "dlfilter sweep: error: argument --xi: invalid _fraction_list value: 'abc'"),
+    ("run", '{"config": {"drift": "ou"}, "pool_trace": "yes"}\n',
+     "'pool_trace' must be true or false"),
 ], ids=["negative-present-time", "zero-space-freq", "pulse-outside-domain", "missing-config",
         "empty-xi-list", "nan-obs-var", "inf-model-noise-var", "nan-init-var",
         "nan-forcing-noise", "nan-relax-rate", "manifest-without-config", "cfl-at-start",
         "cfl-late-in-run", "negative-seed-truth", "negative-seed-obs-in-sweep",
         "zero-denominator-in-file", "zero-ou-points", "fractional-n-steps",
         "fractional-seed", "zero-obs-var", "negative-model-noise-var", "zero-steps",
-        "negative-speed-noise", "stride-past-the-grid", "zero-denominator-xi", "zero-denominator-tau", "unparsable-xi"])
+        "negative-speed-noise", "stride-past-the-grid", "zero-denominator-xi", "zero-denominator-tau", "unparsable-xi",
+        "non-boolean-pool-trace"])
 def test_bad_input_is_one_error_line_with_status_2(tmp_path, capsys, command, config_text,
                                                    message):
     config = tmp_path / "scenario.cfg"

@@ -59,10 +59,10 @@ def test_center_of_mass_matches_linear_moment_away_from_seam():
         assert abs(center_of_mass(field, grid) - linear) < 1e-3
 
 
-def test_center_of_mass_rejects_nonpositive_fields():
+def test_center_of_mass_of_a_nonpositive_field_is_nan():
     grid = make_grid(2.0, 50, 0.99, 1.0, 10)
-    with pytest.raises(ValueError):
-        center_of_mass(-np.ones(50), grid)
+    for field in (-np.ones(50), np.zeros(50)):
+        assert math.isnan(center_of_mass(field, grid))
 
 
 def center_of_mass_one_field(field_values, grid):
@@ -86,11 +86,32 @@ def test_center_of_mass_of_rows_equals_one_field_at_a_time():
     assert center_of_mass(fields[0], grid) == expected[0]
 
 
-def test_center_of_mass_rejects_a_row_without_positive_part():
+def test_a_row_without_positive_part_has_a_nan_center_and_leaves_the_others():
     grid = make_grid(2.0, 50, 0.99, 1.0, 10)
-    fields = np.stack([pulse_profile(grid, 1.0), -np.ones(50)])
-    with pytest.raises(ValueError):
-        center_of_mass(fields, grid)
+    pulse = pulse_profile(grid, 1.0)
+    centers = center_of_mass(np.stack([pulse, -np.ones(50), pulse]), grid)
+    assert math.isnan(centers[1])
+    assert centers[0] == centers[2] == center_of_mass(pulse, grid)
+
+
+# Replicate 44 of the README sweep of configs/ou_sparse.cfg: its stochastic
+# model-only field has no positive part at steps 193, 199 and 200.
+NONPOSITIVE_MODEL_SEEDS = dict(seed_truth=145, seed_model=246, seed_obs=347)
+
+
+def test_a_run_whose_model_field_goes_nonpositive_completes():
+    cfg = replace(load_config(Path(__file__).parents[1] / "configs" / "ou_sparse.cfg"),
+                  **NONPOSITIVE_MODEL_SEEDS)
+    result = run_scenario(cfg)
+    m = result.metrics
+    assert np.flatnonzero(np.isnan(m.com_model)).tolist() == [193, 199, 200]
+    for series in (m.com_truth, m.com_kf, m.com_dlf):
+        assert not np.isnan(series).any()
+    summary = summarize_run(result)
+    assert all(math.isfinite(value) for value in summary.values())
+    defined = ~np.isnan(m.com_model)
+    errors = circular_distance(m.com_model[defined], m.com_truth[defined], cfg.domain_length)
+    assert summary["com_err_model"] == float(np.mean(errors))
 
 
 def test_long_run_covariances_are_exactly_symmetric_and_positive_definite():
@@ -391,19 +412,19 @@ def test_swept_replicates_equal_their_own_runs_bit_for_bit(monkeypatch, name):
                                   getattr(own.metrics, series.name)), series.name
 
 
-def test_a_plan_refuses_a_config_that_differs_beyond_its_seeds():
+def test_a_cell_refuses_a_follower_that_differs_beyond_its_seeds():
     cfg = small_cfg()
-    plan = harness.DlfPlan([replace(cfg, seed_truth=7, seed_model=8, seed_obs=9)])
-    with pytest.raises(RuntimeError, match="not ended"):
-        plan.results()
-    recorded = run_scenario(cfg, collect_pool_trace=True, plan=plan)
-    assert recorded.pool_trace == run_scenario(cfg, collect_pool_trace=True).pool_trace
-    (follower,) = plan.results()
-    assert np.array_equal(follower.dlf_mean, run_scenario(follower.config).dlf_mean)
-    with pytest.raises(ValueError, match="records one run"):
-        run_scenario(cfg, plan=plan)
+    other = replace(cfg, seed_truth=7, seed_model=8, seed_obs=9)
+    followers = []
+    lead = run_scenario(cfg, True, [other], followers)
+    assert lead.pool_trace == run_scenario(cfg, collect_pool_trace=True).pool_trace
+    (follower,) = followers
+    own = run_scenario(other)
+    for array in ("model_only", "kf_mean", "dlf_mean"):
+        assert np.array_equal(getattr(follower, array), getattr(own, array)), array
+    assert follower.pool_trace is None
     with pytest.raises(ValueError, match=r"differs in \['obs_var'\]"):
-        run_scenario(cfg, plan=harness.DlfPlan([replace(cfg, obs_var=2 * cfg.obs_var)]))
+        run_scenario(cfg, followers=[replace(cfg, obs_var=2 * cfg.obs_var)])
 
 
 def test_a_pool_names_the_observation_each_datum_came_from():
@@ -428,13 +449,17 @@ def peak_bytes(fn) -> int:
         tracemalloc.stop()
 
 
-def test_a_one_replicate_cell_makes_no_plan(monkeypatch):
-    plans = []
-    run = harness.run_scenario
-    monkeypatch.setattr(harness, "run_scenario",
-                        lambda cfg, plan=None: plans.append(plan) or run(cfg, plan=plan))
+def test_a_cell_of_one_asks_for_no_factors(monkeypatch):
+    asked = []
+    for name in ("analysis", "dlf_step"):
+        original = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *args, original=original: (
+            asked.append(args[-1]) or original(*args)))
     sweep(sweep_configs(small_cfg(), [Fraction(1), Fraction(1, 5)], [Fraction(1, 5)], 1))
-    assert plans == [None, None]
+    assert asked and all(factors is None for factors in asked)
+    asked.clear()
+    sweep(sweep_configs(small_cfg(), [Fraction(1, 5)], [Fraction(1, 5)], 2))
+    assert asked and all(factors is not None for factors in asked)
 
 
 # The benchmark's grid-n400 cell, shortened: about 100 stations are informed per step.
@@ -442,17 +467,25 @@ GRID_CELL_CFG = default_config("ou", n_points=400, n_steps=40, space_freq=Fracti
                                time_freq=Fraction(1, 10))
 
 
-def test_a_sweep_holds_one_plan_step_and_its_followers_runs():
-    # Kept for the whole run, this cell's plan would be ~16 N x N matrices.
-    cfg = GRID_CELL_CFG
+def sweep_peak_above_a_run(cfg, replicates: int) -> float:
+    """How far a sweep of one cell of ``cfg`` peaks above one run, in N x N matrices."""
     run_scenario(cfg)  # the forecast and conditioning workspace, which stays
     run_peak = peak_bytes(lambda: run_scenario(cfg))
     sweep_peak = peak_bytes(lambda: sweep(sweep_configs(cfg, [cfg.space_freq],
-                                                        [cfg.time_freq], 2)))
-    # The follower keeps its Kalman covariance and per-step arrays, and the
-    # plan one step's factors, at most 2 N x N.
-    square = cfg.n_points ** 2 * np.dtype(float).itemsize
-    assert sweep_peak < run_peak + 6 * square, (sweep_peak / square, run_peak / square)
+                                                        [cfg.time_freq], replicates)))
+    return (sweep_peak - run_peak) / (cfg.n_points ** 2 * np.dtype(float).itemsize)
+
+
+def test_a_sweep_holds_one_plan_step_and_its_followers_runs():
+    # Kept for the whole run, one step's factors per step would be ~16 N x N matrices.
+    # The follower keeps its per-step arrays, and the lead one step's factors
+    # of each filter, at most 2 N x N each.
+    assert sweep_peak_above_a_run(GRID_CELL_CFG, 2) < 6
+
+
+def test_followers_hold_no_covariance():
+    # Five replicates: a Kalman covariance per follower would add 4 N x N.
+    assert sweep_peak_above_a_run(GRID_CELL_CFG, 5) < 7
 
 
 def test_a_sweep_frees_each_cells_followers_when_the_cell_ends():
