@@ -58,12 +58,14 @@ def main(argv: list[str] | None = None) -> int:
             failures += 0 if result.passed else 1
         return 1 if failures else 0
 
-    # Bad input is caught here, before anything runs, and reported the way
-    # argparse reports a bad flag; a failure past this point is a bug and raises.
+    # Bad input, an unusable --out included, is caught here, before anything runs,
+    # and reported the way argparse reports a bad flag; a failure past this point
+    # is a bug and raises. --out is made last, so a bad config leaves no directory.
     try:
         cfg, recorded_pool_trace = load_run(args.config)
         if args.command == "sweep":
             cells = sweep_configs(cfg, args.xi, args.tau, args.replicates)
+        args.out.mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
@@ -76,7 +78,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     rows = sweep(cells)
-    args.out.mkdir(parents=True, exist_ok=True)
     out_path = args.out / "sweep_summary.csv"
     write_sweep_csv(rows, out_path)
     print(out_path)

@@ -186,9 +186,10 @@ class RunResult:
 
     @cached_property
     def _replay(self) -> tuple[list[StateEstimate], list[StateEstimate]]:
-        # The stepper reuses a covariance's buffer on the next step: keep copies.
+        # A cell of one into scratch rows; each covariance buffer is reused: keep copies.
         kf, dlf = [], []
-        for _, kf_est, dlf_result in _steps(self.config, self.truth, self.observations):
+        scratch = tuple(np.empty_like(self.truth.values) for _ in range(3))
+        for kf_est, dlf_result in _steps([self.config], [self.observations], [scratch]):
             for kept, est in ((kf, kf_est), (dlf, dlf_result.estimate)):
                 kept.append(replace(est, covariance=est.covariance.copy()))
         return kf, dlf
@@ -243,28 +244,19 @@ def _readings(grid: GridSpec, observations: list[Observation]) -> np.ndarray:
     return readings
 
 
-def _follow(mean: np.ndarray, grid: GridSpec, speeds: np.ndarray, readings: np.ndarray,
-            update: tuple | None) -> np.ndarray:
-    """A follower's forecast mean, updated from its own readings by the lead's factors."""
-    mean = forecast_mean(mean, grid, speeds)
-    if update is None:
-        return mean
-    stations, sources, factor, weights = update
-    return update_mean(mean, stations, readings[sources], factor, weights)
-
-
-def _steps(cfg: ScenarioConfig, truth: TruthField, observations: list[Observation],
-           followers: typing.Sequence[_Run] = ()):
+def _steps(cell: typing.Sequence[ScenarioConfig],
+           observations: typing.Sequence[list[Observation]],
+           means: typing.Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]):
     """Advance the model-only trajectory, the KF and the DLF over one cell of runs.
 
-    Each step's station speeds drive the model-only step and the one model
-    forecast of both filters; the filters differ only in what they assimilate.
-    The run of ``cfg`` (the lead) steps both filters in full. Yields
-    ``(rows, kf_estimate, dlf_step_result)`` for steps 0 to n_steps, the
-    estimates the lead's: step 0 is the initial state, with an empty pool
-    and assembly. ``rows`` holds ``(model_row, kf_mean, dlf_mean)`` of the
-    lead and then of each of ``followers``. The same inputs replay the same
-    steps bit for bit.
+    ``cell`` is ``[lead, *followers]``: replicate r reads ``observations[r]``
+    and fills ``means[r]``, its (model-only, KF, DLF) arrays of shape
+    (n_steps + 1, N). Each step's station speeds drive the model-only steps
+    and the one model forecast of both filters, which differ only in what
+    they assimilate. The lead steps both filters in full. Yields the lead's
+    ``(kf_estimate, dlf_step_result)`` for steps 0 to n_steps, each once its
+    step's rows are written; step 0 is the initial state, with an empty pool
+    and assembly. The same inputs replay the same steps bit for bit.
 
     A follower is the run of a config that differs from the lead's in its
     seeds only. The scenario is linear and Gaussian, so each filter's gains
@@ -272,40 +264,45 @@ def _steps(cfg: ScenarioConfig, truth: TruthField, observations: list[Observatio
     Moore, *Optimal Filtering*, 1979, §3.1): the covariances, and for the
     DLF where each pooled datum sits, its variance, what viability sheds
     and the cap evicts, and which datum wins each station, follow from the
-    config without its seeds. So a follower steps its model-only row with
-    its own noise, and each filter's mean by ``forecast_mean`` and
-    ``update_mean`` on its own readings with the lead's stations and
-    factors (L, W) of that step; the DLF reads each winning datum at its
-    origin step and station. A follower holds no covariance, and its
-    traces are the lead's. A likelihood that reads the data (a datum
-    variance that depends on the forecast mean, say) breaks this: a config
-    with one must not have followers. A cell of one asks for no factors.
+    config without its seeds. So every replicate steps its model-only row
+    with its own noise, and a follower steps each filter's mean by
+    ``forecast_mean`` and, when the lead analysed that step, ``update_mean``
+    on its own readings with the lead's stations and factors (L, W); the
+    DLF reads each winning datum at its origin step and station. A follower
+    holds no covariance, and its traces are the lead's. A likelihood that
+    reads the data (a datum variance that depends on the forecast mean, say)
+    breaks this: a config with one must not have followers. A cell of one
+    asks for no factors.
 
     Each filter forecasts into its last estimate's covariance buffer, so a
     yielded covariance is valid only until the next step; a consumer that
     keeps one keeps a copy.
     """
+    cfg = cell[0]
     grid, truth_cfg = cfg.grid, cfg.truth_config
-    fresh_by_step = observations_by_step(observations)
+    fresh_by_step = observations_by_step(observations[0])
     obs_mat = observation_matrix(cfg.network, grid)
     model_cfg = ModelConfig(noise_var=cfg.model_noise_var)
     model_only_cfg = model_cfg if cfg.model_mode == "stochastic" else ModelConfig(noise_var=0.0)
-    model_src = NoiseSource(cfg.seed_model)
-    follower_srcs = [NoiseSource(run.cfg.seed_model) for run in followers]
-    follower_readings = [_readings(grid, run.observations) for run in followers]
+    model_srcs = [NoiseSource(other.seed_model) for other in cell]
+    follower_readings = [_readings(grid, obs) for obs in observations[1:]]
 
     start = pulse_profile(grid, cfg.pulse_center)
+    for arrays in means:
+        for array in arrays:
+            array[0] = start
     kf_est = StateEstimate(time_index=0, mean=start,
                            covariance=cfg.init_var * np.eye(grid.n_points))
     # The filters own their buffers from here on: the DLF starts on a copy.
     dlf_result = DlfStepResult(replace(kf_est, covariance=kf_est.covariance.copy()),
                                Pool.empty(time_index=0), LikelihoodAssembly.empty())
-    rows = [(start, start, start)] * (1 + len(followers))
-    yield rows, kf_est, dlf_result
+    yield kf_est, dlf_result
 
+    lead_kf, lead_dlf = means[0][1:]
     for step in range(1, grid.n_steps + 1):
         speeds = _step_speeds(truth_cfg, grid, step)
-        model_row = model_step(rows[0][0], grid, model_only_cfg, speeds, model_src)
+        for (model_only, _, _), src in zip(means, model_srcs):
+            model_only[step] = model_step(model_only[step - 1], grid, model_only_cfg, speeds, src)
         kf_est = forecast(kf_est, grid, model_cfg, speeds, out=kf_est.covariance)
         # The DLF forecasts before the KF analysis: rebinding dlf_prior frees the
         # last step's prior before the KF's posterior is allocated.
@@ -313,10 +310,11 @@ def _steps(cfg: ScenarioConfig, truth: TruthField, observations: list[Observatio
                              out=dlf_result.estimate.covariance)
 
         fresh = fresh_by_step.get(step, [])
-        kf_factors, dlf_factors = ([], []) if followers else (None, None)
+        kf_factors, dlf_factors = ([], []) if len(cell) > 1 else (None, None)
         if fresh:
             kf_est = analysis(kf_est, fresh, obs_mat, cfg.obs_var, kf_factors)
         dlf_result = dlf_step(dlf_prior, dlf_result.pool, fresh, grid, truth_cfg, dlf_factors)
+        lead_kf[step], lead_dlf[step] = kf_est.mean, dlf_result.estimate.mean
 
         kf_update = dlf_update = None
         if kf_factors:
@@ -327,48 +325,14 @@ def _steps(cfg: ScenarioConfig, truth: TruthField, observations: list[Observatio
             dlf_update = (dlf_result.assembly.informed_stations,
                           (pool.origin_time[chosen], pool.origin_station[chosen]),
                           *dlf_factors[0])
-        rows = [(model_row, kf_est.mean, dlf_result.estimate.mean)] + [
-            (model_step(model, grid, model_only_cfg, speeds, src),
-             _follow(kf_mean, grid, speeds, readings, kf_update),
-             _follow(dlf_mean, grid, speeds, readings, dlf_update))
-            for (model, kf_mean, dlf_mean), src, readings
-            in zip(rows[1:], follower_srcs, follower_readings)]
-        yield rows, kf_est, dlf_result
-
-
-class _Run:
-    """One run's truth, observations and the per-step arrays its steps fill."""
-
-    def __init__(self, cfg: ScenarioConfig, collect_pool_trace: bool = False):
-        self.cfg = cfg
-        self.truth = generate_truth(cfg.grid, cfg.truth_config, NoiseSource(cfg.seed_truth))
-        self.observations = sample_observations(self.truth, cfg.network,
-                                                NoiseSource(cfg.seed_obs),
-                                                max_step=cfg.last_data_step)
-        self.model_only = np.empty_like(self.truth.values)
-        self.kf_mean = np.empty_like(self.truth.values)
-        self.dlf_mean = np.empty_like(self.truth.values)
-        self.trace_kf = np.empty(cfg.n_steps + 1)
-        self.trace_dlf = np.empty(cfg.n_steps + 1)
-        self.pool_trace: list[tuple] | None = [] if collect_pool_trace else None
-
-    def add(self, step, means, traces, dlf_result) -> None:
-        self.model_only[step], self.kf_mean[step], self.dlf_mean[step] = means
-        self.trace_kf[step], self.trace_dlf[step] = traces
-        if self.pool_trace is not None:
-            pool = dlf_result.pool
-            selected = np.zeros(len(pool), dtype=int)
-            selected[dlf_result.assembly.selected] = 1
-            self.pool_trace.extend((step, *row) for row in zip(
-                pool.origin_time.tolist(), pool.position.tolist(), pool.variance.tolist(),
-                selected.tolist()))
-
-    def result(self) -> RunResult:
-        metrics = _compute_metrics(self.cfg.grid, self.truth, self.model_only, self.kf_mean,
-                                   self.dlf_mean, self.trace_kf, self.trace_dlf)
-        return RunResult(config=self.cfg, truth=self.truth, observations=self.observations,
-                         model_only=self.model_only, kf_mean=self.kf_mean,
-                         dlf_mean=self.dlf_mean, metrics=metrics, pool_trace=self.pool_trace)
+        for (_, *filtered), readings in zip(means[1:], follower_readings):
+            for mean, update in zip(filtered, (kf_update, dlf_update)):
+                mean[step] = forecast_mean(mean[step - 1], grid, speeds)
+                if update is not None:
+                    stations, sources, factor, weights = update
+                    mean[step] = update_mean(mean[step], stations, readings[sources], factor,
+                                             weights)
+        yield kf_est, dlf_result
 
 
 def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False,
@@ -389,16 +353,29 @@ def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False,
         if differ:
             raise ValueError(f"a follower must differ from its lead config in its seeds "
                              f"only; one differs in {differ}")
-    lead = _Run(cfg, collect_pool_trace)
-    runs = [lead] + [_Run(other) for other in followers]
-    for step, (rows, kf_est, dlf_result) in enumerate(
-            _steps(cfg, lead.truth, lead.observations, runs[1:])):
-        traces = kf_est.trace, dlf_result.estimate.trace
-        for run, means in zip(runs, rows):
-            run.add(step, means, traces, dlf_result)
+    cell = [cfg, *followers]
+    truths = [generate_truth(c.grid, c.truth_config, NoiseSource(c.seed_truth)) for c in cell]
+    observations = [sample_observations(truth, c.network, NoiseSource(c.seed_obs),
+                                        max_step=c.last_data_step)
+                    for c, truth in zip(cell, truths)]
+    means = [tuple(np.empty_like(truth.values) for _ in range(3)) for truth in truths]
+    trace_kf, trace_dlf = np.empty(cfg.n_steps + 1), np.empty(cfg.n_steps + 1)
+    pool_trace: list[tuple] | None = [] if collect_pool_trace else None
+    for step, (kf_est, dlf_result) in enumerate(_steps(cell, observations, means)):
+        trace_kf[step], trace_dlf[step] = kf_est.trace, dlf_result.estimate.trace
+        if pool_trace is not None:
+            pool = dlf_result.pool
+            selected = np.zeros(len(pool), dtype=int)
+            selected[dlf_result.assembly.selected] = 1
+            pool_trace.extend((step, *row) for row in zip(
+                pool.origin_time.tolist(), pool.position.tolist(), pool.variance.tolist(),
+                selected.tolist()))
+    results = [RunResult(c, truth, obs, *arrays,
+                         metrics=_compute_metrics(c.grid, truth, *arrays, trace_kf, trace_dlf))
+               for c, truth, obs, arrays in zip(cell, truths, observations, means)]
     if follower_results is not None:
-        follower_results.extend(run.result() for run in runs[1:])
-    return lead.result()
+        follower_results.extend(results[1:])
+    return replace(results[0], pool_trace=pool_trace)
 
 
 def _compute_metrics(grid, truth, model_only, kf_mean, dlf_mean, trace_kf,

@@ -127,14 +127,14 @@ def condition(mean: np.ndarray, cov: np.ndarray, stations, values, variances,
     in O(N^2 k). ``W.T @ W`` is a symmetric rank-k product, so the posterior
     covariance is exactly symmetric whenever P is (factorized update, after
     Bierman 1977). Both results are new arrays. ``time_index`` only labels a
-    failed factorization. A ``factors_out`` list gets (L, W) appended, copied
-    in their memory layout, so :func:`update_mean` repeats this posterior
-    mean from them bit for bit.
+    failed factorization. A ``factors_out`` list gets (L, W) appended, L new
+    and W copied out of the workspace in its memory layout, so
+    :func:`update_mean` repeats this posterior mean from them bit for bit.
     """
     stations = np.asarray(stations, dtype=np.int64)
     factor, weights = _whiten(cov, stations, variances, time_index)
     if factors_out is not None:
-        factors_out.append((factor.copy(order="K"), weights.copy(order="K")))
+        factors_out.append((factor, weights.copy(order="K")))
     post_mean = update_mean(mean, stations, values, factor, weights)
     product = np.matmul(weights.T, weights, out=_workspace(1, cov.shape))
     return post_mean, np.subtract(cov, product)

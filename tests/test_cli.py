@@ -238,6 +238,29 @@ def test_bad_input_is_one_error_line_with_status_2(tmp_path, capsys, command, co
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, out, message", [
+    ("run", "taken", "File exists"),
+    ("sweep --xi 1 --tau 1", "taken", "File exists"),
+    ("run", "taken/sub", "Not a directory"),
+], ids=["run-into-a-file", "sweep-into-a-file", "run-below-a-file"])
+def test_an_output_path_through_a_file_fails_before_anything_runs(monkeypatch, tmp_path, capsys,
+                                                                  config_file, command, out,
+                                                                  message):
+    def ran(*args, **kwargs):
+        raise AssertionError("ran before the output directory was made")
+    monkeypatch.setattr(cli, "run_scenario", ran)
+    monkeypatch.setattr(cli, "sweep", ran)
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    command, *extra = command.split()
+    status = main([command, "--config", str(config_file), *extra, "--out", str(tmp_path / out)])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.count("\n") == 1 and err.startswith("dlfilter: error: ")
+    assert message in err
+    assert taken.read_text() == "keep\n"
+
+
 @pytest.mark.parametrize("error", [FilterError("Cholesky failed"),
                                    ValueError("covariance is not symmetric within tolerance")])
 def test_failures_after_the_input_check_still_raise(monkeypatch, config_file, tmp_path, error):

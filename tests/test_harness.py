@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dlfilter import dlf, harness
 from dlfilter.core import make_grid
@@ -374,9 +375,9 @@ def test_sweep_replicates_use_distinct_truths():
     assert not np.array_equal(runs[1], runs[2])
 
 
-# --- one DLF plan per sweep cell ------------------------------------------------------
+# --- one lockstep loop per sweep cell -------------------------------------------------
 
-PLAN_CFGS = {
+CELL_CFGS = {
     "ou": dict(n_steps=40),
     "ou-present": dict(n_steps=40, present_time=25),
     "ou-mean-model": dict(n_steps=40, model_mode="mean"),
@@ -396,10 +397,10 @@ def swept_results(monkeypatch, cells):
     return results
 
 
-@pytest.mark.parametrize("name", sorted(PLAN_CFGS))
+@pytest.mark.parametrize("name", sorted(CELL_CFGS))
 def test_swept_replicates_equal_their_own_runs_bit_for_bit(monkeypatch, name):
     drift = name.split("-")[0]
-    base = default_config(drift, **PLAN_CFGS[name])
+    base = default_config(drift, **CELL_CFGS[name])
     cells = sweep_configs(base, [Fraction(1, 5)], [Fraction(1), Fraction(1, 5)], 3)
     swept = swept_results(monkeypatch, cells)
     assert [r.config for r in swept] == [cfg for cell in cells for cfg in cell]
@@ -410,6 +411,42 @@ def test_swept_replicates_equal_their_own_runs_bit_for_bit(monkeypatch, name):
         for series in fields(harness.MetricTable):
             assert np.array_equal(getattr(result.metrics, series.name),
                                   getattr(own.metrics, series.name)), series.name
+
+
+@st.composite
+def small_cells(draw):
+    """A cell of 2 or 3 replicates of a small random scenario that loads."""
+    n_points = draw(st.integers(2, 24))
+    n_steps = draw(st.integers(1, 20))
+    noise = st.floats(0.0, 1.0)
+    cfg = default_config(
+        draw(st.sampled_from(["ou", "accelerating"])), n_points=n_points, n_steps=n_steps,
+        speed_noise=draw(noise), forcing_noise=draw(noise), init_var=draw(noise),
+        model_noise_var=draw(noise), obs_var=draw(st.floats(1e-3, 1.0)),
+        pulse_center=draw(st.floats(0.01, 1.99)),
+        space_freq=Fraction(1, draw(st.integers(1, n_points))),
+        time_freq=Fraction(1, draw(st.integers(1, 4))),
+        model_mode=draw(st.sampled_from(["stochastic", "mean"])),
+        present_time=draw(st.none() | st.integers(0, n_steps)),
+        seed_truth=draw(st.integers(0, 10_000)), seed_model=draw(st.integers(0, 10_000)),
+        seed_obs=draw(st.integers(0, 10_000)))
+    return sweep_configs(cfg, [cfg.space_freq], [cfg.time_freq], draw(st.integers(2, 3)))[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_cells())
+def test_every_replicate_of_a_cell_equals_its_own_run_bit_for_bit(cell):
+    followers = []
+    lead = run_scenario(cell[0], followers=cell[1:], follower_results=followers)
+    assert [r.config for r in (lead, *followers)] == cell
+    for result in (lead, *followers):
+        own = run_scenario(result.config)
+        for array in ("model_only", "kf_mean", "dlf_mean"):
+            assert np.array_equal(getattr(result, array), getattr(own, array)), array
+        for series in fields(harness.MetricTable):
+            # a center of mass is nan at a step whose field has no positive part
+            assert np.array_equal(getattr(result.metrics, series.name),
+                                  getattr(own.metrics, series.name), equal_nan=True), series.name
 
 
 def test_a_cell_refuses_a_follower_that_differs_beyond_its_seeds():
@@ -430,9 +467,10 @@ def test_a_cell_refuses_a_follower_that_differs_beyond_its_seeds():
 def test_a_pool_names_the_observation_each_datum_came_from():
     result = run_scenario(small_cfg())
     readings = {(o.time_index, o.station): o.value for o in result.observations}
+    scratch = tuple(np.empty_like(result.truth.values) for _ in range(3))
     pools = 0
-    for state in harness._steps(result.config, result.truth, result.observations):
-        pool = state[-1].pool
+    for _, dlf_result in harness._steps([result.config], [result.observations], [scratch]):
+        pool = dlf_result.pool
         pools += len(pool) > 0
         assert [readings[source] for source in zip(pool.origin_time.tolist(),
                                                    pool.origin_station.tolist())] == (
@@ -476,7 +514,7 @@ def sweep_peak_above_a_run(cfg, replicates: int) -> float:
     return (sweep_peak - run_peak) / (cfg.n_points ** 2 * np.dtype(float).itemsize)
 
 
-def test_a_sweep_holds_one_plan_step_and_its_followers_runs():
+def test_a_sweep_holds_one_steps_factors_and_its_followers_runs():
     # Kept for the whole run, one step's factors per step would be ~16 N x N matrices.
     # The follower keeps its per-step arrays, and the lead one step's factors
     # of each filter, at most 2 N x N each.
