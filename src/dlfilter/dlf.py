@@ -10,13 +10,13 @@ The forecast is the caller's model forecast, the same as the Kalman filter's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import GridSpec, StateEstimate
 from .kalman import condition
-from .obsnet import Observation
+from .obsnet import Observation, read_block
 from .truth import TruthConfig, mean_speed
 
 __all__ = [
@@ -82,11 +82,6 @@ class Pool:
     def __len__(self):
         return self.value.shape[0]
 
-    def take(self, index) -> "Pool":
-        """The entries picked by ``index`` (a mask, index array or slice)."""
-        return Pool(self.time_index, self.value[index], self.position[index],
-                    self.variance[index], self.origin_time[index], self.origin_station[index])
-
 
 @dataclass(frozen=True)
 class LikelihoodAssembly:
@@ -125,20 +120,20 @@ class DlfStepResult:
     assembly: LikelihoodAssembly
 
 
-def propagate_observation(pool: Pool, grid: GridSpec, truth_cfg: TruthConfig) -> Pool:
-    """Advance every datum position one semi-Lagrangian step along the mean speed.
+def propagate_observation(position: np.ndarray, time_index: int, grid: GridSpec,
+                          truth_cfg: TruthConfig) -> np.ndarray:
+    """Data positions at step ``time_index`` advanced one semi-Lagrangian step.
 
-    Values are carried unchanged; positions use the speed at the old
-    positions and time, then wrap periodically.
+    Each position moves by dt times the mean speed at it and at the step's
+    time, then wraps periodically.
     """
-    speed = mean_speed(truth_cfg, pool.position, pool.time_index * grid.dt)
-    return replace(pool, position=grid.wrap(pool.position + grid.dt * speed),
-                   time_index=pool.time_index + 1)
+    speed = mean_speed(truth_cfg, position, time_index * grid.dt)
+    return grid.wrap(position + grid.dt * speed)
 
 
-def propagate_variance(pool: Pool, forcing_amp: float, dt: float) -> Pool:
-    """Inflate every datum variance by one step of forcing noise: += amp^2 * dt."""
-    return replace(pool, variance=pool.variance + forcing_amp ** 2 * dt)
+def propagate_variance(variance: np.ndarray, forcing_amp: float, dt: float) -> np.ndarray:
+    """Data variances inflated by one step of forcing noise: += amp^2 * dt."""
+    return variance + forcing_amp ** 2 * dt
 
 
 def _station(position: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -146,9 +141,11 @@ def _station(position: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.floor(position / grid.dx + _NODE_EPS).astype(np.int64) % grid.n_points
 
 
-def viability_filter(pool: Pool, forecast_cov: np.ndarray, grid: GridSpec) -> Pool:
-    """Drop data whose variance exceeds the forecast variance at their project() station."""
-    return pool.take(pool.variance <= np.diag(forecast_cov)[_station(pool.position, grid)])
+def viability_filter(position: np.ndarray, variance: np.ndarray, forecast_cov: np.ndarray,
+                     grid: GridSpec) -> np.ndarray:
+    """Indices, in order, of the data whose variance is at most the forecast
+    variance at their project() station."""
+    return np.flatnonzero(variance <= np.diag(forecast_cov)[_station(position, grid)])
 
 
 def project(pool: Pool, grid: GridSpec) -> np.ndarray:
@@ -195,46 +192,32 @@ def multi_analysis(forecast_est: StateEstimate, assembly: LikelihoodAssembly,
     return StateEstimate(time_index=forecast_est.time_index, mean=mean, covariance=cov)
 
 
-def _join_fresh(pool: Pool, fresh: list[Observation], grid: GridSpec) -> Pool:
-    """Append fresh measurements, taken at the pool's time, at their stations."""
-    if not fresh:
-        return pool
-    times = {obs.time_index for obs in fresh}
-    if times != {pool.time_index}:
-        raise ValueError(f"fresh observations at steps {sorted(times)}, "
-                         f"expected {pool.time_index}")
-    stations = np.array([obs.station for obs in fresh])
-    if stations.min() < 0 or stations.max() >= grid.n_points:
-        raise ValueError("observation station outside the grid")
-    return Pool(pool.time_index,
-                np.concatenate([pool.value, [obs.value for obs in fresh]]),
-                np.concatenate([pool.position, stations * grid.dx]),
-                np.concatenate([pool.variance, [obs.variance for obs in fresh]]),
-                np.concatenate([pool.origin_time, np.full(len(fresh), pool.time_index)]),
-                np.concatenate([pool.origin_station, stations]))
-
-
 def dlf_step(forecast_est: StateEstimate, pool: Pool, fresh: list[Observation],
              grid: GridSpec, truth_cfg: TruthConfig,
              factors_out: list | None = None) -> DlfStepResult:
     """Assimilate the pool and fresh data into one step's model forecast.
 
-    The pool is advanced one step (positions and variances) to the
-    forecast's time, fresh measurements join it at their stations, non-viable
-    members are shed, and the survivors are projected and rank-ordered into
-    the assembly used by the multi-analysis. Survivors persist to the next
-    step; the assembly's ``selected`` indexes them. ``factors_out`` is passed
-    to the multi-analysis.
+    The pool's positions and variances are advanced to the forecast's time,
+    the fresh readings join them at their stations, non-viable data are shed
+    and the oldest beyond the cap evicted. The survivors form the step's one
+    new pool, projected and rank-ordered into the assembly used by the
+    multi-analysis; the assembly's ``selected`` indexes them. ``factors_out``
+    is passed to the multi-analysis.
     """
-    if pool.time_index + 1 != forecast_est.time_index:
-        raise ValueError(f"pool at step {pool.time_index}, expected {forecast_est.time_index - 1}")
-    advanced = propagate_variance(propagate_observation(pool, grid, truth_cfg),
-                                  truth_cfg.forcing_noise, grid.dt)
-    survivors = viability_filter(_join_fresh(advanced, fresh, grid),
-                                 forecast_est.covariance, grid)
-    cap = POOL_CAP_FACTOR * grid.n_points
-    if len(survivors) > cap:
-        survivors = survivors.take(slice(-cap, None))
+    now = forecast_est.time_index
+    if pool.time_index + 1 != now:
+        raise ValueError(f"pool at step {pool.time_index}, expected {now - 1}")
+    values, stations, variances = read_block(fresh, now, grid.n_points)
+    position = np.concatenate([propagate_observation(pool.position, pool.time_index, grid,
+                                                     truth_cfg), stations * grid.dx])
+    variance = np.concatenate([propagate_variance(pool.variance, truth_cfg.forcing_noise,
+                                                  grid.dt), variances])
+    kept = viability_filter(position, variance, forecast_est.covariance, grid)
+    kept = kept[-POOL_CAP_FACTOR * grid.n_points:]
+    joined = (np.concatenate([pool.value, values]), position, variance,
+              np.concatenate([pool.origin_time, np.full(stations.size, now)]),
+              np.concatenate([pool.origin_station, stations]))
+    survivors = Pool(now, *(array[kept] for array in joined))
 
     assembly = rank_order(project(survivors, grid), survivors.value, survivors.variance)
     estimate = multi_analysis(forecast_est, assembly, factors_out)

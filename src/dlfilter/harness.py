@@ -19,10 +19,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .core import GridSpec, NoiseSource, StateEstimate, make_grid
-from .dlf import DlfStepResult, LikelihoodAssembly, Pool, dlf_step
+from .dlf import POOL_CAP_FACTOR, DlfStepResult, LikelihoodAssembly, Pool, dlf_step
 from .kalman import analysis, forecast, forecast_mean, update_mean
 from .model import ModelConfig, lax_friedrichs_weights, model_step
 from .obsnet import (Observation, build_network, observation_matrix,
@@ -572,7 +573,8 @@ def write_outputs(result: RunResult, out_dir) -> list[Path]:
 
     Floats carry 17 significant digits so a re-read (and a re-run from the
     manifest) reproduces the values bit-exactly. The manifest records the
-    config and whether the run collected a pool trace (see :func:`load_run`).
+    config, whether the run collected a pool trace (see :func:`load_run`), and,
+    as records only, the pool cap factor and the numpy and scipy versions.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -612,6 +614,9 @@ def write_outputs(result: RunResult, out_dir) -> list[Path]:
         "pool_trace": result.pool_trace is not None,
         "outputs": sorted(p.name for p in written),
         "float_format": FLOAT_FMT,
+        "pool_cap_factor": POOL_CAP_FACTOR,
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
     }
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

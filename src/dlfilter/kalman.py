@@ -11,7 +11,7 @@ import scipy.linalg
 
 from .core import GridSpec, StateEstimate
 from .model import ModelConfig, lax_friedrichs_matrix, lax_friedrichs_weights
-from .obsnet import Observation
+from .obsnet import Observation, read_block
 
 __all__ = ["FilterError", "forecast", "forecast_mean", "analysis", "condition", "update_mean",
            "gain_columns"]
@@ -154,29 +154,24 @@ def analysis(forecast_est: StateEstimate, obs_block: list[Observation],
              factors_out: list | None = None) -> StateEstimate:
     """Condition the forecast on a block of same-time observations.
 
-    ``obs_matrix`` must be exactly the 0/1 selector H whose rows pick the
-    observed stations, one per observation in block order; any other matrix
-    raises. The update itself runs through :func:`condition`, which gets
-    ``factors_out``. An empty block returns the forecast unchanged.
+    The block is read by :func:`~dlfilter.obsnet.read_block`, and each
+    reading must carry ``obs_var``. ``obs_matrix`` must be exactly the 0/1
+    selector H whose rows pick the observed stations, one per observation in
+    block order; any other matrix raises. The update itself runs through
+    :func:`condition`, which gets ``factors_out``. An empty block returns the
+    forecast unchanged.
     """
     if not obs_block:
         return forecast_est
-    times = {obs.time_index for obs in obs_block}
-    if times != {forecast_est.time_index}:
-        raise ValueError(f"observations at {sorted(times)} do not match forecast step "
-                         f"{forecast_est.time_index}")
     n_state = forecast_est.mean.shape[0]
-    if obs_matrix.shape != (len(obs_block), n_state):
-        raise ValueError("observation block size does not match the observation matrix")
-    stations = np.array([obs.station for obs in obs_block])
-    if stations.min() < 0 or stations.max() >= n_state:
-        raise ValueError("observation station outside the grid")
-    selector = np.zeros_like(obs_matrix, dtype=float)
+    values, stations, variances = read_block(obs_block, forecast_est.time_index, n_state)
+    if (variances != obs_var).any():
+        raise ValueError(f"observation variance differs from obs_var = {obs_var}")
+    selector = np.zeros((stations.size, n_state))
     selector[np.arange(stations.size), stations] = 1.0
     if not np.array_equal(obs_matrix, selector):
         raise ValueError("observation matrix is not the selector of the block's stations")
 
-    values = np.array([obs.value for obs in obs_block])
     mean, cov = condition(forecast_est.mean, forecast_est.covariance, stations, values,
                           obs_var, time_index=forecast_est.time_index, factors_out=factors_out)
     return StateEstimate(time_index=forecast_est.time_index, mean=mean, covariance=cov)

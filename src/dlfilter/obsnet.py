@@ -18,6 +18,7 @@ __all__ = [
     "sample_observations",
     "observation_matrix",
     "observations_by_step",
+    "read_block",
 ]
 
 
@@ -110,3 +111,16 @@ def observations_by_step(observations: list[Observation]) -> dict[int, list[Obse
         grouped.setdefault(obs.time_index, []).append(obs)
     return grouped
 
+
+def read_block(block: list[Observation], time_index: int,
+               n_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The values, stations and variances of a block of readings, each of which
+    must be taken at step ``time_index`` and at a station of a grid of ``n_points``."""
+    times = {obs.time_index for obs in block}
+    if times - {time_index}:
+        raise ValueError(f"observations at steps {sorted(times)}, expected step {time_index}")
+    stations = np.array([obs.station for obs in block], dtype=np.int64)
+    if ((stations < 0) | (stations >= n_points)).any():
+        raise ValueError("observation station outside the grid")
+    return (np.array([obs.value for obs in block], dtype=float), stations,
+            np.array([obs.variance for obs in block], dtype=float))

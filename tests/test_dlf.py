@@ -34,12 +34,6 @@ def live(value=1.0, position=0.5, variance=0.02, origin=0, current=0):
     return pool_of((value,), (position,), (variance,), (origin,), current)
 
 
-def assert_pool_equal(a, b):
-    assert a.time_index == b.time_index
-    for name in ("value", "position", "variance", "origin_time"):
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-
-
 def model_forecast(est, grid, truth_cfg, model_cfg):
     """The stepper's forecast of ``est``: one model step at the mean station speeds."""
     speeds = np.asarray(mean_speed(truth_cfg, grid.positions, est.time_index * grid.dt),
@@ -68,89 +62,84 @@ def test_pool_rejects_invalid_entries():
 
 def test_propagation_constant_advection():
     grid = make_grid(2.0, 20, 1.0, 1.0, 10)  # dt = 0.1
-    out = propagate_observation(live(position=0.5), grid, constant_speed_cfg(1.0))
-    assert out.position[0] == pytest.approx(0.6)
-    assert out.value[0] == 1.0
-    assert out.time_index == 1
+    out = propagate_observation(np.array([0.5]), 0, grid, constant_speed_cfg(1.0))
+    assert out.tolist() == [pytest.approx(0.6)]
 
 
 def test_propagation_wraps_at_the_seam():
     grid = make_grid(2.0, 20, 1.0, 1.0, 10)
-    out = propagate_observation(live(position=1.95), grid, constant_speed_cfg(1.0))
-    assert out.position[0] == pytest.approx(0.05)
+    out = propagate_observation(np.array([1.95]), 0, grid, constant_speed_cfg(1.0))
+    assert out.tolist() == [pytest.approx(0.05)]
 
 
 def test_propagation_matches_fine_step_oracle_for_growing_speed():
     grid = grid_for()
     cfg = TruthConfig(drift=Drift.ACCELERATING, base_speed=0.1, speed_ramp=0.01,
                       pulse_center=1.0)
-    pool = live(position=1.0)
-    for _ in range(10):
-        pool = propagate_observation(pool, grid, cfg)
+    position = np.array([1.0])
+    for step in range(10):
+        position = propagate_observation(position, step, grid, cfg)
 
     fine_steps = 100
     fine_dt = grid.dt / fine_steps
     zeta = 1.0
     for k in range(10 * fine_steps):
         zeta += fine_dt * float(mean_speed(cfg, zeta, k * fine_dt))
-    assert abs(pool.position[0] - zeta) < 2 * grid.dt * 0.01  # O(dt) step error
+    assert abs(position[0] - zeta) < 2 * grid.dt * 0.01  # O(dt) step error
 
 
 def test_variance_propagation_noise_free_forcing():
-    out = propagate_variance(live(variance=0.02), 0.0, 0.5)
-    assert out.variance[0] == 0.02
+    assert propagate_variance(np.array([0.02]), 0.0, 0.5).tolist() == [0.02]
 
 
 def test_variance_propagation_standard_parameters():
-    out = propagate_variance(live(variance=0.02), 0.01, 0.0396)
-    assert out.variance[0] == 0.02 + 1e-4 * 0.0396
+    out = propagate_variance(np.array([0.02]), 0.01, 0.0396)
+    assert out.tolist() == [0.02 + 1e-4 * 0.0396]
 
 
 def test_variance_accumulates_closed_form():
     amp, dt = 0.01, 0.0396
-    pool = live(variance=0.02)
+    variance = np.array([0.02])
     expected = 0.02
     for k in range(200):
-        pool = propagate_variance(pool, amp, dt)
+        variance = propagate_variance(variance, amp, dt)
         expected += amp**2 * dt
-        assert pool.variance[0] == expected
-    assert pool.variance[0] == pytest.approx(0.02 + 200 * amp**2 * dt, rel=1e-12)
+        assert variance[0] == expected
+    assert variance[0] == pytest.approx(0.02 + 200 * amp**2 * dt, rel=1e-12)
 
 
 def test_variance_is_monotone_under_propagation():
     grid = grid_for()
-    cfg = constant_speed_cfg(0.3)
-    pool = live(variance=0.02)
-    last = pool.variance[0]
+    variance = np.array([0.02])
+    last = variance[0]
     for _ in range(50):
-        pool = propagate_variance(propagate_observation(pool, grid, cfg), 0.01, grid.dt)
-        assert pool.variance[0] >= last
-        last = pool.variance[0]
+        variance = propagate_variance(variance, 0.01, grid.dt)
+        assert variance[0] >= last
+        last = variance[0]
 
 
 # --- viability --------------------------------------------------------------------
 
 def test_viability_keeps_everything_below_model_variance():
     grid = grid_for()
-    pool = pool_of((1.0, 1.0, 1.0), (0.1, 0.7, 1.3), (0.02, 0.02, 0.02))
-    assert_pool_equal(viability_filter(pool, 0.08 * np.eye(50), grid), pool)
+    kept = viability_filter(np.array([0.1, 0.7, 1.3]), np.full(3, 0.02), 0.08 * np.eye(50), grid)
+    assert kept.tolist() == [0, 1, 2]
 
 
 def test_viability_drops_degraded_datum():
     grid = grid_for()
     cov = 0.08 * np.eye(50)
-    pool = live(position=0.7, variance=10 * 0.08)
-    assert len(viability_filter(pool, cov, grid)) == 0
+    assert viability_filter(np.array([0.7]), np.array([10 * 0.08]), cov, grid).size == 0
 
 
 def test_viability_uses_nearest_station_variance():
     grid = grid_for()
     cov = 0.08 * np.eye(50)
     cov[18, 18] = 0.01  # position 0.73 = 18.25 dx projects to station 18
-    keep = live(position=0.73, variance=0.02)
-    assert len(viability_filter(keep, cov, grid)) == 0
+    position, variance = np.array([0.73]), np.array([0.02])
+    assert viability_filter(position, variance, cov, grid).size == 0
     cov[18, 18] = 0.05
-    assert_pool_equal(viability_filter(keep, cov, grid), keep)
+    assert viability_filter(position, variance, cov, grid).tolist() == [0]
 
 
 def test_viability_judges_a_datum_at_its_projection_station():
@@ -160,18 +149,25 @@ def test_viability_judges_a_datum_at_its_projection_station():
     assert project(datum, grid).tolist() == [0]
     cov = 0.08 * np.eye(50)
     cov[0, 0] = 0.01
-    assert len(viability_filter(datum, cov, grid)) == 0
+    assert viability_filter(datum.position, datum.variance, cov, grid).size == 0
     cov[0, 0], cov[1, 1] = 0.05, 0.01
-    assert_pool_equal(viability_filter(datum, cov, grid), datum)
+    assert viability_filter(datum.position, datum.variance, cov, grid).tolist() == [0]
+
+
+def test_viability_returns_the_viable_indices_in_order():
+    grid = grid_for()
+    cov = 0.08 * np.eye(50)
+    variance = np.array([0.02, 0.5, 0.08, 0.09, 0.01])
+    kept = viability_filter(np.full(5, 0.3), variance, cov, grid)
+    assert kept.tolist() == [0, 2, 4]
 
 
 def test_fresh_datum_survives_standard_noise_levels():
     # measurement noise below the per-step model noise keeps fresh data viable
     grid = grid_for()
-    positions = [k * grid.dx for k in range(0, 50, 5)]
-    pool = pool_of([1.0] * 10, positions, [0.02] * 10)
+    positions = np.array([k * grid.dx for k in range(0, 50, 5)])
     cov = 0.08 * np.eye(50)
-    assert len(viability_filter(pool, cov, grid)) == len(pool)
+    assert viability_filter(positions, np.full(10, 0.02), cov, grid).size == 10
 
 
 # --- projection --------------------------------------------------------------------
@@ -516,7 +512,7 @@ def test_dlf_step_rejects_fresh_readings_from_another_step():
     forecast_est = StateEstimate(1, np.zeros(50), 0.02 * np.eye(50))
     fresh = [Observation(value=1.0, station=3, time_index=1, variance=0.02),
              Observation(value=1.0, station=4, time_index=2, variance=0.02)]
-    with pytest.raises(ValueError, match=r"fresh observations at steps \[1, 2\], expected 1"):
+    with pytest.raises(ValueError, match=r"observations at steps \[1, 2\], expected step 1"):
         dlf_step(forecast_est, Pool.empty(0), fresh, grid, flow_cfg())
 
 
@@ -530,6 +526,48 @@ def test_dlf_step_enforces_pool_cap():
                       grid, cfg)
     assert len(result.pool) == 200  # 4x the station count, oldest evicted
     assert np.all(result.pool.value >= 50.0)
+
+
+def test_dlf_step_builds_one_pool(monkeypatch):
+    # fresh data join a pool over its cap: propagation, the join, viability and the cap
+    # build no pool of their own
+    grid = grid_for()
+    cfg = flow_cfg()
+    est = StateEstimate(0, np.zeros(50), 10.0 * np.eye(50))
+    pool = pool_of([float(k) for k in range(250)], [(k * 0.007) % 2.0 for k in range(250)],
+                   [0.02] * 250)
+    fresh = [Observation(value=1.0, station=s, time_index=1, variance=0.02)
+             for s in range(0, 50, 5)]
+    forecast_est = model_forecast(est, grid, cfg, ModelConfig(noise_var=0.08))
+    built = []
+    check = Pool.__post_init__
+    monkeypatch.setattr(Pool, "__post_init__", lambda self: (built.append(self), check(self)))
+    result = dlf_step(forecast_est, pool, fresh, grid, cfg)
+    assert len(built) == 1 and built[0] is result.pool
+    assert len(result.pool) == 200 and result.pool.origin_time[-10:].tolist() == [1] * 10
+
+
+def kf_step(forecast_est, block):
+    return analysis(forecast_est, block, np.zeros((len(block), 50)), 0.02)
+
+
+def dlf_only_step(forecast_est, block):
+    return dlf_step(forecast_est, Pool.empty(0), block, grid_for(), flow_cfg())
+
+
+@pytest.mark.parametrize("filter_step", [kf_step, dlf_only_step], ids=["kf", "dlf"])
+@pytest.mark.parametrize("stations, times, message", [
+    ([50], [1], "observation station outside the grid"),
+    ([-1], [1], "observation station outside the grid"),
+    ([3, 4], [1, 2], r"observations at steps \[1, 2\], expected step 1"),
+    ([3], [2], r"observations at steps \[2\], expected step 1"),
+], ids=["station-50", "station-minus-1", "two-steps", "another-step"])
+def test_both_filters_reject_a_bad_block_with_one_message(filter_step, stations, times, message):
+    forecast_est = StateEstimate(1, np.zeros(50), 0.02 * np.eye(50))
+    block = [Observation(value=1.0, station=s, time_index=t, variance=0.02)
+             for s, t in zip(stations, times)]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        filter_step(forecast_est, block)
 
 
 # --- array pool equals a per-datum reference ----------------------------------------------

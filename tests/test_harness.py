@@ -8,13 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 
 from dlfilter import dlf, harness
 from dlfilter.core import make_grid
 from dlfilter.harness import (ScenarioConfig, _write_table, center_of_mass, circular_distance,
                               config_from_flat, config_to_flat, default_config,
-                              load_config, read_table, run_scenario, summarize_run,
+                              load_config, load_run, read_table, run_scenario, summarize_run,
                               sweep, sweep_configs, write_outputs, write_sweep_csv)
 from dlfilter.truth import Drift, mean_speed, pulse_profile
 
@@ -703,6 +704,20 @@ def test_manifest_rerun_reproduces_outputs_byte_for_byte(tmp_path):
     write_outputs(run_scenario(cfg), second)
     for name in manifest["outputs"]:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_the_manifest_records_the_pool_cap_and_the_library_versions(tmp_path):
+    write_outputs(run_scenario(small_cfg()), tmp_path)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    records = {"pool_cap_factor": dlf.POOL_CAP_FACTOR, "numpy_version": np.__version__,
+               "scipy_version": scipy.__version__}
+    assert {key: manifest[key] for key in records} == records
+    # records only: no config key, and a rerun reads none of them
+    assert not records.keys() & manifest["config"].keys()
+    loaded = load_run(path)
+    path.write_text(json.dumps({**manifest, **dict.fromkeys(records, "other")}))
+    assert load_run(path) == loaded
 
 
 def test_model_rmse_not_better_than_filters_median():

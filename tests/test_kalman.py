@@ -344,6 +344,17 @@ def test_analysis_rejects_matrix_that_is_not_the_exact_selector():
     analysis(est, block, selector([0, 2], 4), 0.1)
 
 
+def test_analysis_rejects_a_reading_at_another_variance():
+    # Read at obs_var = 0.02 this reading would give the KF a posterior N(0.833, 0.0167)
+    # at station 0, where the DLF, reading it at its own variance, gets N(0.667, 0.0333).
+    est = StateEstimate(1, np.zeros(4), 0.1 * np.eye(4))
+    block = obs_block([1.0], [0], 1, 0.05)
+    with pytest.raises(ValueError, match="observation variance differs from obs_var = 0.02"):
+        analysis(est, block, selector([0], 4), 0.02)
+    post = analysis(est, block, selector([0], 4), 0.05)
+    assert (post.mean[0], post.covariance[0, 0]) == (pytest.approx(2 / 3), pytest.approx(1 / 30))
+
+
 def test_analysis_covariance_stays_symmetric():
     rng = np.random.default_rng(8)
     cov = random_spd(rng, 12)
