@@ -189,8 +189,8 @@ class RunResult:
     def _replay(self) -> tuple[list[StateEstimate], list[StateEstimate]]:
         # A cell of one into scratch rows; each covariance buffer is reused: keep copies.
         kf, dlf = [], []
-        scratch = tuple(np.empty_like(self.truth.values) for _ in range(3))
-        for kf_est, dlf_result in _steps([self.config], [self.observations], [scratch]):
+        scratch = np.empty((3, 1, *self.truth.values.shape))
+        for kf_est, dlf_result in _steps([self.config], [self.observations], scratch):
             for kept, est in ((kf, kf_est), (dlf, dlf_result.estimate)):
                 kept.append(replace(est, covariance=est.covariance.copy()))
         return kf, dlf
@@ -237,27 +237,19 @@ def _without_seeds(cfg: ScenarioConfig) -> dict:
     return {f.name: getattr(cfg, f.name) for f in fields(cfg) if not f.name.startswith("seed_")}
 
 
-def _readings(grid: GridSpec, observations: list[Observation]) -> np.ndarray:
-    """``readings[t, s]``: the observation of station s at step t, nan where none was made."""
-    readings = np.full((grid.n_steps + 1, grid.n_points), np.nan)
-    for obs in observations:
-        readings[obs.time_index, obs.station] = obs.value
-    return readings
-
-
 def _steps(cell: typing.Sequence[ScenarioConfig],
-           observations: typing.Sequence[list[Observation]],
-           means: typing.Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]):
+           observations: typing.Sequence[list[Observation]], means: np.ndarray):
     """Advance the model-only trajectory, the KF and the DLF over one cell of runs.
 
     ``cell`` is ``[lead, *followers]``: replicate r reads ``observations[r]``
-    and fills ``means[r]``, its (model-only, KF, DLF) arrays of shape
-    (n_steps + 1, N). Each step's station speeds drive the model-only steps
-    and the one model forecast of both filters, which differ only in what
-    they assimilate. The lead steps both filters in full. Yields the lead's
-    ``(kf_estimate, dlf_step_result)`` for steps 0 to n_steps, each once its
-    step's rows are written; step 0 is the initial state, with an empty pool
-    and assembly. The same inputs replay the same steps bit for bit.
+    and fills ``means[:, r]``, its (model-only, KF, DLF) rows of the
+    (3, R, n_steps + 1, N) block ``means``. Each step's station speeds drive
+    the model-only steps and the one model forecast of both filters, which
+    differ only in what they assimilate. The lead steps both filters in full.
+    Yields the lead's ``(kf_estimate, dlf_step_result)`` for steps 0 to
+    n_steps, each once its step's rows are written; step 0 is the initial
+    state, with an empty pool and assembly. The same inputs replay the same
+    steps bit for bit.
 
     A follower is the run of a config that differs from the lead's in its
     seeds only. The scenario is linear and Gaussian, so each filter's gains
@@ -266,14 +258,21 @@ def _steps(cell: typing.Sequence[ScenarioConfig],
     DLF where each pooled datum sits, its variance, what viability sheds
     and the cap evicts, and which datum wins each station, follow from the
     config without its seeds. So every replicate steps its model-only row
-    with its own noise, and a follower steps each filter's mean by
+    with its own noise, and the followers step each filter's mean by
     ``forecast_mean`` and, when the lead analysed that step, ``update_mean``
-    on its own readings with the lead's stations and factors (L, W); the
+    on their own readings with the lead's stations and factors (L, W); the
     DLF reads each winning datum at its origin step and station. A follower
     holds no covariance, and its traces are the lead's. A likelihood that
     reads the data (a datum variance that depends on the forecast mean, say)
     breaks this: a config with one must not have followers. A cell of one
     asks for no factors.
+
+    The rows of one step go through each of these calls as one stack: the
+    model-only rows of all replicates, the followers' KF and DLF means, and
+    each analysed filter's follower means. So a step builds one transition
+    for the model-only rows, one per lead forecast and, with followers, one
+    for their means, and each row keeps its own matrix-vector product and
+    triangular solve (see ``update_mean``).
 
     Each filter forecasts into its last estimate's covariance buffer, so a
     yielded covariance is valid only until the next step; a consumer that
@@ -286,12 +285,14 @@ def _steps(cell: typing.Sequence[ScenarioConfig],
     model_cfg = ModelConfig(noise_var=cfg.model_noise_var)
     model_only_cfg = model_cfg if cfg.model_mode == "stochastic" else ModelConfig(noise_var=0.0)
     model_srcs = [NoiseSource(other.seed_model) for other in cell]
-    follower_readings = [_readings(grid, obs) for obs in observations[1:]]
+    # readings[r, t, s]: follower r's reading of station s at step t, nan where none was made
+    readings = np.full((len(cell) - 1, grid.n_steps + 1, grid.n_points), np.nan)
+    for rows, follower_observations in zip(readings, observations[1:]):
+        for obs in follower_observations:
+            rows[obs.time_index, obs.station] = obs.value
 
     start = pulse_profile(grid, cfg.pulse_center)
-    for arrays in means:
-        for array in arrays:
-            array[0] = start
+    means[:, :, 0] = start
     kf_est = StateEstimate(time_index=0, mean=start,
                            covariance=cfg.init_var * np.eye(grid.n_points))
     # The filters own their buffers from here on: the DLF starts on a copy.
@@ -299,11 +300,12 @@ def _steps(cell: typing.Sequence[ScenarioConfig],
                                Pool.empty(time_index=0), LikelihoodAssembly.empty())
     yield kf_est, dlf_result
 
-    lead_kf, lead_dlf = means[0][1:]
+    model_only, (lead_kf, lead_dlf) = means[0], means[1:, 0]
+    followers = means[1:, 1:]  # (KF, DLF) x follower
     for step in range(1, grid.n_steps + 1):
         speeds = _step_speeds(truth_cfg, grid, step)
-        for (model_only, _, _), src in zip(means, model_srcs):
-            model_only[step] = model_step(model_only[step - 1], grid, model_only_cfg, speeds, src)
+        model_only[:, step] = model_step(model_only[:, step - 1], grid, model_only_cfg, speeds,
+                                         model_srcs)
         kf_est = forecast(kf_est, grid, model_cfg, speeds, out=kf_est.covariance)
         # The DLF forecasts before the KF analysis: rebinding dlf_prior frees the
         # last step's prior before the KF's posterior is allocated.
@@ -317,22 +319,20 @@ def _steps(cell: typing.Sequence[ScenarioConfig],
         dlf_result = dlf_step(dlf_prior, dlf_result.pool, fresh, grid, truth_cfg, dlf_factors)
         lead_kf[step], lead_dlf[step] = kf_est.mean, dlf_result.estimate.mean
 
-        kf_update = dlf_update = None
+        if len(cell) > 1:
+            followers[:, :, step] = forecast_mean(followers[:, :, step - 1], grid, speeds)
+        updates = []
         if kf_factors:
             stations = np.array([obs.station for obs in fresh])
-            kf_update = (stations, (step, stations), *kf_factors[0])
+            updates.append((followers[0], stations, step, stations, *kf_factors[0]))
         if dlf_factors:
             chosen, pool = dlf_result.assembly.selected, dlf_result.pool
-            dlf_update = (dlf_result.assembly.informed_stations,
-                          (pool.origin_time[chosen], pool.origin_station[chosen]),
-                          *dlf_factors[0])
-        for (_, *filtered), readings in zip(means[1:], follower_readings):
-            for mean, update in zip(filtered, (kf_update, dlf_update)):
-                mean[step] = forecast_mean(mean[step - 1], grid, speeds)
-                if update is not None:
-                    stations, sources, factor, weights = update
-                    mean[step] = update_mean(mean[step], stations, readings[sources], factor,
-                                             weights)
+            updates.append((followers[1], dlf_result.assembly.informed_stations,
+                            pool.origin_time[chosen], pool.origin_station[chosen],
+                            *dlf_factors[0]))
+        for mean, stations, times, origins, factor, weights in updates:
+            mean[:, step] = update_mean(mean[:, step], stations, readings[:, times, origins],
+                                        factor, weights)
         yield kf_est, dlf_result
 
 
@@ -359,7 +359,7 @@ def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False,
     observations = [sample_observations(truth, c.network, NoiseSource(c.seed_obs),
                                         max_step=c.last_data_step)
                     for c, truth in zip(cell, truths)]
-    means = [tuple(np.empty_like(truth.values) for _ in range(3)) for truth in truths]
+    means = np.empty((3, len(cell), cfg.n_steps + 1, cfg.n_points))
     trace_kf, trace_dlf = np.empty(cfg.n_steps + 1), np.empty(cfg.n_steps + 1)
     pool_trace: list[tuple] | None = [] if collect_pool_trace else None
     for step, (kf_est, dlf_result) in enumerate(_steps(cell, observations, means)):
@@ -373,7 +373,8 @@ def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False,
                 selected.tolist()))
     results = [RunResult(c, truth, obs, *arrays,
                          metrics=_compute_metrics(c.grid, truth, *arrays, trace_kf, trace_dlf))
-               for c, truth, obs, arrays in zip(cell, truths, observations, means)]
+               for c, truth, obs, arrays in zip(cell, truths, observations,
+                                                means.swapaxes(0, 1))]
     if follower_results is not None:
         follower_results.extend(results[1:])
     return replace(results[0], pool_trace=pool_trace)

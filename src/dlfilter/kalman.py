@@ -54,8 +54,12 @@ def _workspace(slot: int, shape: tuple[int, int]) -> np.ndarray:
 
 
 def forecast_mean(mean: np.ndarray, grid: GridSpec, speeds: np.ndarray) -> np.ndarray:
-    """T m: the forecast mean, the model's own advection product, as in ``model_step``."""
-    return lax_friedrichs_matrix(grid, speeds) @ mean
+    """T m: the forecast mean, the model's own advection product, as in ``model_step``.
+
+    ``mean`` may be a stack (..., N): T is built once and each row gets its
+    own matrix-vector product, so a row equals the one-mean forecast bit for bit.
+    """
+    return np.matmul(lax_friedrichs_matrix(grid, speeds), mean[..., None])[..., 0]
 
 
 def forecast(prev: StateEstimate, grid: GridSpec, model_cfg: ModelConfig,
@@ -108,9 +112,27 @@ def _whiten(cov: np.ndarray, stations: np.ndarray, variances,
 
 def update_mean(mean: np.ndarray, stations: np.ndarray, values, factor: np.ndarray,
                 weights: np.ndarray) -> np.ndarray:
-    """The posterior mean of :func:`condition` from its factors: mean + W^T L^-1 (y - mean[S])."""
-    innovation = np.asarray(values, dtype=float) - mean[stations]
-    return mean + weights.T @ scipy.linalg.solve_triangular(factor, innovation, lower=True)
+    """The posterior mean of :func:`condition` from its factors: mean + W^T L^-1 (y - mean[S]).
+
+    ``mean`` (..., N) and ``values`` (..., k) may be stacks of rows that share
+    the factors. Each row is solved by its own LAPACK ``trtrs`` and multiplied
+    by its own matrix-vector product, the calls a single mean makes, so a row
+    equals its one-mean update bit for bit; one solve or product over the
+    whole stack would round differently. A non-finite factor or innovation
+    raises ``ValueError``, a zero on L's diagonal ``LinAlgError``.
+    """
+    innovation = np.asarray(values, dtype=float) - mean[..., stations]
+    if factor.shape != innovation.shape[-1:] * 2:
+        raise ValueError(f"factor of shape {factor.shape} does not fit "
+                         f"{innovation.shape[-1]} readings")
+    if not (np.isfinite(factor).all() and np.isfinite(innovation).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    for row in innovation.reshape(-1, innovation.shape[-1]):
+        row[:], info = scipy.linalg.lapack.dtrtrs(factor, row, lower=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal "
+                                        f"{info - 1}")
+    return mean + np.matmul(weights.T, innovation[..., None])[..., 0]
 
 
 def condition(mean: np.ndarray, cov: np.ndarray, stations, values, variances,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,15 +66,23 @@ def lax_friedrichs_matrix(grid: GridSpec, speeds: np.ndarray) -> np.ndarray:
 
 
 def model_step(state: np.ndarray, grid: GridSpec, cfg: ModelConfig, speeds: np.ndarray,
-               src: NoiseSource) -> np.ndarray:
+               src: NoiseSource | typing.Sequence[NoiseSource]) -> np.ndarray:
     """Advance the state one step: advection, then additive model noise.
 
     The noise adds per-station variance ``cfg.noise_var`` per step, matching
-    the covariance inflation used by the filters' forecast.
+    the covariance inflation used by the filters' forecast. ``state`` is one
+    state (N,) with one ``src``, or a stack (R, N) with a sequence of R
+    sources: one transition is built, and row r is advected by its own
+    matrix-vector product and draws its noise from source r, so each row
+    equals the one-state step of that row bit for bit.
     """
     state = np.asarray(state, dtype=float)
-    transition = lax_friedrichs_matrix(grid, speeds)
-    out = transition @ state
+    srcs = [src] if isinstance(src, NoiseSource) else list(src)
+    if state.ndim > 2 or len(srcs) != (1 if state.ndim == 1 else len(state)):
+        raise ValueError(f"need one noise source per state row: got {len(srcs)} for a state "
+                         f"of shape {state.shape}")
+    out = np.matmul(lax_friedrichs_matrix(grid, speeds), state[..., None])[..., 0]
     if cfg.noise_var > 0:
-        out = out + gaussian_vector(src, grid.n_points, math.sqrt(cfg.noise_var))
+        for row, row_src in zip(out.reshape(-1, grid.n_points), srcs):
+            row += gaussian_vector(row_src, grid.n_points, math.sqrt(cfg.noise_var))
     return out

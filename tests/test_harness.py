@@ -11,12 +11,12 @@ import pytest
 import scipy
 from hypothesis import given, settings, strategies as st
 
-from dlfilter import dlf, harness
+from dlfilter import dlf, harness, kalman, model
 from dlfilter.core import make_grid
 from dlfilter.harness import (ScenarioConfig, _write_table, center_of_mass, circular_distance,
                               config_from_flat, config_to_flat, default_config,
-                              load_config, load_run, read_table, run_scenario, summarize_run,
-                              sweep, sweep_configs, write_outputs, write_sweep_csv)
+                              load_config, load_run, read_table, run_scenario, summarize_cell,
+                              summarize_run, sweep, sweep_configs, write_outputs, write_sweep_csv)
 from dlfilter.truth import Drift, mean_speed, pulse_profile
 
 
@@ -468,9 +468,9 @@ def test_a_cell_refuses_a_follower_that_differs_beyond_its_seeds():
 def test_a_pool_names_the_observation_each_datum_came_from():
     result = run_scenario(small_cfg())
     readings = {(o.time_index, o.station): o.value for o in result.observations}
-    scratch = tuple(np.empty_like(result.truth.values) for _ in range(3))
+    scratch = np.empty((3, 1, *result.truth.values.shape))
     pools = 0
-    for _, dlf_result in harness._steps([result.config], [result.observations], [scratch]):
+    for _, dlf_result in harness._steps([result.config], [result.observations], scratch):
         pool = dlf_result.pool
         pools += len(pool) > 0
         assert [readings[source] for source in zip(pool.origin_time.tolist(),
@@ -499,6 +499,30 @@ def test_a_cell_of_one_asks_for_no_factors(monkeypatch):
     asked.clear()
     sweep(sweep_configs(small_cfg(), [Fraction(1, 5)], [Fraction(1, 5)], 2))
     assert asked and all(factors is not None for factors in asked)
+
+
+def test_a_cell_step_builds_one_transition_for_all_its_followers(monkeypatch):
+    # The model-only rows, the lead's two forecasts and the followers' means each
+    # build one transition per step; every follower shares one update per analysis.
+    builds, updates = [], []
+    for module in (model, kalman):
+        monkeypatch.setattr(module, "lax_friedrichs_matrix", lambda *args, build=(
+            module.lax_friedrichs_matrix): builds.append(1) or build(*args))
+    for module in (harness, kalman):
+        monkeypatch.setattr(module, "update_mean", lambda *args, name=module.__name__, update=(
+            module.update_mean): updates.append(name) or update(*args))
+    cfg = small_cfg()
+    per_step, follower_updates = {}, {}
+    for replicates in (1, 2, 5):
+        builds.clear()
+        updates.clear()
+        summarize_cell(sweep_configs(cfg, [cfg.space_freq], [cfg.time_freq], replicates)[0])
+        per_step[replicates] = len(builds) / cfg.n_steps
+        follower_updates[replicates] = updates.count("dlfilter.harness")
+        lead_updates = updates.count("dlfilter.kalman")  # one per analysis of the lead
+    assert per_step == {1: 3, 2: 4, 5: 4}
+    assert lead_updates > 0
+    assert follower_updates == {1: 0, 2: lead_updates, 5: lead_updates}
 
 
 # The benchmark's grid-n400 cell, shortened: about 100 stations are informed per step.

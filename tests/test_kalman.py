@@ -4,10 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from dlfilter.checks import condition_on_stations
 from dlfilter.core import NoiseSource, StateEstimate, make_grid
-from dlfilter.kalman import (FilterError, analysis, condition, forecast, gain_columns,
-                             update_mean)
+from dlfilter.harness import default_config
+from dlfilter.kalman import (FilterError, analysis, condition, forecast, forecast_mean,
+                             gain_columns, update_mean)
 from dlfilter.model import ModelConfig, model_step
 from dlfilter.obsnet import Observation
+from dlfilter.truth import mean_speed
 
 
 def random_spd(rng, n, scale=1.0):
@@ -114,6 +116,19 @@ def test_forecast_mean_is_the_model_advection():
     est = forecast(StateEstimate(0, mean, random_spd(rng, 50)), grid, ModelConfig(0.08), speeds)
     np.testing.assert_array_equal(
         est.mean, model_step(mean, grid, ModelConfig(), speeds, NoiseSource(0)))
+    # A stack (filter, replicate, N) of strided rows is forecast row by row, bit for bit.
+    for drift in ("ou", "accelerating"):
+        for n in (50, 400):
+            cfg = default_config(drift, n_points=n)
+            speeds = mean_speed(cfg.truth_config, cfg.grid.positions, 40 * cfg.grid.dt)
+            stack = rng.standard_normal((2, 4, 3, n))[:, :, 1]
+            forecasts = forecast_mean(stack, cfg.grid, speeds)
+            assert forecasts.shape == stack.shape
+            for index in np.ndindex(stack.shape[:-1]):
+                row = stack[index].copy()
+                assert np.array_equal(forecasts[index], forecast_mean(row, cfg.grid, speeds))
+                assert np.array_equal(forecasts[index], model_step(row, cfg.grid, ModelConfig(),
+                                                                   speeds, NoiseSource(0)))
 
 
 @st.composite
@@ -194,7 +209,7 @@ def test_condition_matches_condition_on_stations():
         np.testing.assert_array_equal(post_cov, post_cov.T)
 
 
-@pytest.mark.parametrize("n, k", [(50, 50), (50, 13), (400, 80)])
+@pytest.mark.parametrize("n, k", [(50, 50), (50, 13), (400, 80), (400, 225)])
 def test_kept_factors_repeat_the_posterior_mean_bit_for_bit(n, k):
     rng = np.random.default_rng(n + k)
     cov = random_spd(rng, n)
@@ -210,6 +225,39 @@ def test_kept_factors_repeat_the_posterior_mean_bit_for_bit(n, k):
     assert factor.shape == (k, k) and weights.shape == (k, n)
     condition(rng.standard_normal(n), random_spd(rng, n), stations, values, 0.5)  # reuses the workspace
     assert np.array_equal(update_mean(mean, stations, values, factor, weights), post_mean)
+    # A stack of means (strided rows) and their readings shares the factors row by row.
+    means = rng.standard_normal((5, 3, n))[:, 1]
+    readings = rng.standard_normal((5, k))
+    stacked = update_mean(means, stations, readings, factor, weights)
+    assert stacked.shape == means.shape
+    for row_mean, row_values, row_post in zip(means, readings, stacked):
+        assert np.array_equal(row_post, condition(row_mean, cov, stations, row_values, 0.02)[0])
+
+
+def test_update_mean_refuses_a_nan_reading_and_a_singular_factor():
+    rng = np.random.default_rng(31)
+    n, k = 50, 13
+    cov = random_spd(rng, n)
+    stations = rng.choice(n, size=k, replace=False)
+    factors = []
+    condition(rng.standard_normal(n), cov, stations, rng.standard_normal(k), 0.02,
+              factors_out=factors)
+    (factor, weights), = factors
+    means, readings = rng.standard_normal((4, n)), rng.standard_normal((4, k))
+    readings[2, 5] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        update_mean(means, stations, readings, factor, weights)
+    readings[2, 5] = 0.0
+    nan_factor = factor.copy()
+    nan_factor[3, 1] = np.inf
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        update_mean(means, stations, readings, nan_factor, weights)
+    singular = factor.copy()
+    singular[7, 7] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        update_mean(means, stations, readings, singular, weights)
+    with pytest.raises(ValueError, match="does not fit"):
+        update_mean(means, stations[:-1], readings[:, :-1], factor, weights)
 
 
 def test_gain_columns_match_dense_gain():

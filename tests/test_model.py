@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from dlfilter.core import NoiseSource, make_grid
+from dlfilter.harness import default_config
 from dlfilter.model import (ModelConfig, lax_friedrichs_matrix, lax_friedrichs_weights,
                             model_step)
+from dlfilter.truth import mean_speed
 
 
 def unit_grid(n_points=50, n_steps=10):
@@ -131,6 +133,39 @@ def test_model_step_noise_variance_scale():
         for k in range(400)])
     observed = draws.var()
     assert abs(observed - 0.08) < 3 * 0.08 * np.sqrt(2 / draws.size)
+
+
+def scenario_speeds(drift, n_points, step):
+    """A scenario's grid and the station speeds that drive its step ``step``."""
+    cfg = default_config(drift, n_points=n_points)
+    grid = cfg.grid
+    return grid, mean_speed(cfg.truth_config, grid.positions, (step - 1) * grid.dt)
+
+
+@pytest.mark.parametrize("drift", ["ou", "accelerating"])
+@pytest.mark.parametrize("n", [50, 400])
+def test_model_step_of_a_stack_equals_its_rows_bit_for_bit(drift, n):
+    grid, speeds = scenario_speeds(drift, n, step=40)
+    rng = np.random.default_rng(n)
+    # Strided rows, as the run's (replicate, step, station) block holds them.
+    states = rng.standard_normal((5, 3, n))[:, 1]
+    for cfg in (ModelConfig(noise_var=0.08), ModelConfig(noise_var=0.0)):
+        stepped = model_step(states, grid, cfg, speeds, [NoiseSource(7 + r) for r in range(5)])
+        assert stepped.shape == states.shape
+        for row, state in enumerate(states):
+            alone = model_step(state.copy(), grid, cfg, speeds, NoiseSource(7 + row))
+            assert np.array_equal(stepped[row], alone)
+
+
+def test_model_step_refuses_a_source_count_that_is_not_the_rows():
+    grid = unit_grid()
+    states = np.zeros((3, grid.n_points))
+    speeds = np.zeros(grid.n_points)
+    for srcs in ([NoiseSource(0)] * 2, [NoiseSource(0)] * 4, NoiseSource(0)):
+        with pytest.raises(ValueError, match="one noise source per state row"):
+            model_step(states, grid, ModelConfig(noise_var=0.08), speeds, srcs)
+    with pytest.raises(ValueError, match="one noise source per state row"):
+        model_step(states[0], grid, ModelConfig(), speeds, [NoiseSource(0)] * 2)
 
 
 def test_model_config_rejects_negative_variance():
