@@ -267,12 +267,10 @@ def _steps(cell: typing.Sequence[ScenarioConfig],
     breaks this: a config with one must not have followers. A cell of one
     asks for no factors.
 
-    The rows of one step go through each of these calls as one stack: the
-    model-only rows of all replicates, the followers' KF and DLF means, and
-    each analysed filter's follower means. So a step builds one transition
-    for the model-only rows, one per lead forecast and, with followers, one
-    for their means, and each row keeps its own matrix-vector product and
-    triangular solve (see ``update_mean``).
+    A step passes its rows to each call as one stack: all model-only rows
+    to ``model_step``, the followers' KF and DLF means to ``forecast_mean``
+    and one filter's to ``update_mean``. Each row keeps its own BLAS and
+    LAPACK calls, so a follower builds no transition of its own.
 
     Each filter forecasts into its last estimate's covariance buffer, so a
     yielded covariance is valid only until the next step; a consumer that

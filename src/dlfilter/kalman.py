@@ -56,8 +56,8 @@ def _workspace(slot: int, shape: tuple[int, int]) -> np.ndarray:
 def forecast_mean(mean: np.ndarray, grid: GridSpec, speeds: np.ndarray) -> np.ndarray:
     """T m: the forecast mean, the model's own advection product, as in ``model_step``.
 
-    ``mean`` may be a stack (..., N): T is built once and each row gets its
-    own matrix-vector product, so a row equals the one-mean forecast bit for bit.
+    ``mean`` may be a stack (..., N): T is built once, and each row gets its
+    own matrix-vector product and so the bits of its one-mean forecast.
     """
     return np.matmul(lax_friedrichs_matrix(grid, speeds), mean[..., None])[..., 0]
 
@@ -115,11 +115,10 @@ def update_mean(mean: np.ndarray, stations: np.ndarray, values, factor: np.ndarr
     """The posterior mean of :func:`condition` from its factors: mean + W^T L^-1 (y - mean[S]).
 
     ``mean`` (..., N) and ``values`` (..., k) may be stacks of rows that share
-    the factors. Each row is solved by its own LAPACK ``trtrs`` and multiplied
-    by its own matrix-vector product, the calls a single mean makes, so a row
-    equals its one-mean update bit for bit; one solve or product over the
-    whole stack would round differently. A non-finite factor or innovation
-    raises ``ValueError``, a zero on L's diagonal ``LinAlgError``.
+    the factors. Each row gets its own LAPACK ``trtrs`` and matrix-vector
+    product, so it equals its one-mean update bit for bit; one solve or
+    product over the stack would round differently. A non-finite factor or
+    innovation raises ``ValueError``, a zero on L's diagonal ``LinAlgError``.
     """
     innovation = np.asarray(values, dtype=float) - mean[..., stations]
     if factor.shape != innovation.shape[-1:] * 2:

@@ -71,10 +71,9 @@ def model_step(state: np.ndarray, grid: GridSpec, cfg: ModelConfig, speeds: np.n
 
     The noise adds per-station variance ``cfg.noise_var`` per step, matching
     the covariance inflation used by the filters' forecast. ``state`` is one
-    state (N,) with one ``src``, or a stack (R, N) with a sequence of R
-    sources: one transition is built, and row r is advected by its own
-    matrix-vector product and draws its noise from source r, so each row
-    equals the one-state step of that row bit for bit.
+    state (N,) with one ``src``, or a stack (R, N) with R sources: one
+    transition is built, and row r gets its own matrix-vector product and
+    the noise of source r, so it equals its one-state step bit for bit.
     """
     state = np.asarray(state, dtype=float)
     srcs = [src] if isinstance(src, NoiseSource) else list(src)
