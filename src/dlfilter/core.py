@@ -96,27 +96,27 @@ class StateEstimate:
 
 
 class NoiseSource:
-    """Deterministic Gaussian stream keyed by (seed, stream_id).
+    """Deterministic Gaussian stream keyed by its seed.
 
     Identical keys replay the identical draw sequence. ``child(tag)`` derives
     an independent stream so that sub-components (forcing vs. wave-speed noise,
-    say) never share draws and toggling one leaves the others untouched.
+    say) never share draws and toggling one leaves the others untouched. The
+    generator's key is (seed, 0, *tags): the 0 keeps every stream's draws.
     """
 
-    def __init__(self, seed: int, stream_id: int = 0, _lineage: tuple[int, ...] = ()):
+    def __init__(self, seed: int, *, _lineage: tuple[int, ...] = ()):
         self.seed = int(seed)
-        self.stream_id = int(stream_id)
         self._lineage = tuple(int(t) for t in _lineage)
-        self._rng = np.random.default_rng((self.seed, self.stream_id, *self._lineage))
+        self._rng = np.random.default_rng((self.seed, 0, *self._lineage))
 
     def child(self, tag: int) -> "NoiseSource":
-        return NoiseSource(self.seed, self.stream_id, _lineage=(*self._lineage, tag))
+        return NoiseSource(self.seed, _lineage=(*self._lineage, tag))
 
     def standard_normal(self, n: int) -> np.ndarray:
         return self._rng.standard_normal(int(n))
 
     def __repr__(self):
-        return f"NoiseSource(seed={self.seed}, stream_id={self.stream_id}, lineage={self._lineage})"
+        return f"NoiseSource(seed={self.seed}, lineage={self._lineage})"
 
 
 def make_grid(domain_length: float, n_points: int, cfl: float, max_speed: float,

@@ -24,8 +24,8 @@ import scipy
 from . import __version__
 from .core import GridSpec, NoiseSource, StateEstimate, make_grid
 from .dlf import POOL_CAP_FACTOR, DlfStepResult, LikelihoodAssembly, Pool, dlf_step
-from .kalman import analysis, forecast, forecast_mean, update_mean
-from .model import ModelConfig, lax_friedrichs_weights, model_step
+from .kalman import analysis, forecast, update_mean
+from .model import ModelConfig, advect, lax_friedrichs_weights, model_step
 from .obsnet import (Observation, build_network, observation_matrix,
                      observations_by_step, sample_observations)
 from .truth import Drift, TruthConfig, TruthField, generate_truth, mean_speed, pulse_profile
@@ -63,6 +63,12 @@ _DRIFT_DEFAULTS = {
     Drift.OU: dict(n_steps=200, pulse_center=1.25),
     Drift.ACCELERATING: dict(n_steps=100, pulse_center=1.0),
 }
+
+# No prior variance of a run exceeds init_var + n_steps * model_noise_var (the
+# Lax-Friedrichs rows are convex weights). Past obs_var / eps, P - W^T W at a read
+# station loses every digit: a run crashed first at 5e15 * obs_var, so a config
+# stays this factor of obs_var below that.
+MAX_PRIOR_OVER_OBS_VAR = 1e12
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,11 @@ class ScenarioConfig:
         grid = make_grid(self.domain_length, self.n_points, self.cfl, reference_speed,
                          self.n_steps)
         pulse_profile(grid, self.pulse_center)
+        prior_bound = self.init_var + grid.n_steps * self.model_noise_var
+        if prior_bound > MAX_PRIOR_OVER_OBS_VAR * self.obs_var:
+            raise ValueError(f"init_var + n_steps * model_noise_var = {prior_bound:.6g} exceeds "
+                             f"{MAX_PRIOR_OVER_OBS_VAR:.0e} * obs_var = {self.obs_var:.6g}: the "
+                             f"filters' updates would lose every digit")
         network = build_network(grid, self.space_freq, self.time_freq, self.obs_var)
         for step in (1, grid.n_steps):
             lax_friedrichs_weights(grid, _step_speeds(truth_config, grid, step))
@@ -259,7 +270,7 @@ def _steps(cell: typing.Sequence[ScenarioConfig],
     and the cap evicts, and which datum wins each station, follow from the
     config without its seeds. So every replicate steps its model-only row
     with its own noise, and the followers step each filter's mean by
-    ``forecast_mean`` and, when the lead analysed that step, ``update_mean``
+    ``advect`` and, when the lead analysed that step, ``update_mean``
     on their own readings with the lead's stations and factors (L, W); the
     DLF reads each winning datum at its origin step and station. A follower
     holds no covariance, and its traces are the lead's. A likelihood that
@@ -268,8 +279,8 @@ def _steps(cell: typing.Sequence[ScenarioConfig],
     asks for no factors.
 
     A step passes its rows to each call as one stack: all model-only rows
-    to ``model_step``, the followers' KF and DLF means to ``forecast_mean``
-    and one filter's to ``update_mean``. Each row keeps its own BLAS and
+    to ``model_step``, the followers' KF and DLF means to ``advect`` and
+    one filter's to ``update_mean``. Each row keeps its own BLAS and
     LAPACK calls, so a follower builds no transition of its own.
 
     Each filter forecasts into its last estimate's covariance buffer, so a
@@ -318,7 +329,7 @@ def _steps(cell: typing.Sequence[ScenarioConfig],
         lead_kf[step], lead_dlf[step] = kf_est.mean, dlf_result.estimate.mean
 
         if len(cell) > 1:
-            followers[:, :, step] = forecast_mean(followers[:, :, step - 1], grid, speeds)
+            followers[:, :, step] = advect(followers[:, :, step - 1], grid, speeds)
         updates = []
         if kf_factors:
             stations = np.array([obs.station for obs in fresh])

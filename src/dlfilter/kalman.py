@@ -10,29 +10,14 @@ import numpy as np
 import scipy.linalg
 
 from .core import GridSpec, StateEstimate
-from .model import ModelConfig, lax_friedrichs_matrix, lax_friedrichs_weights
+from .model import ModelConfig, advect, apply_transition, lax_friedrichs_weights
 from .obsnet import Observation, read_block
 
-__all__ = ["FilterError", "forecast", "forecast_mean", "analysis", "condition", "update_mean",
-           "gain_columns"]
+__all__ = ["FilterError", "forecast", "analysis", "condition", "update_mean", "gain_columns"]
 
 
 class FilterError(RuntimeError):
     """Raised when a filter update cannot be performed (singular system, bad inputs)."""
-
-
-def _apply_transition(right: np.ndarray, left: np.ndarray, x: np.ndarray,
-                      out: np.ndarray, work: np.ndarray) -> None:
-    """out = T @ x for the two-diagonal Lax-Friedrichs T, along the first axis of x.
-
-    Row l of T takes ``right[l]`` of row l+1 and ``left[l]`` of row l-1 (mod N).
-    ``work`` has the shape of ``out`` and is overwritten.
-    """
-    np.multiply(right[:-1, None], x[1:], out=out[:-1])
-    np.multiply(right[-1], x[0], out=out[-1])
-    np.multiply(left[1:, None], x[:-1], out=work[1:])
-    np.multiply(left[0], x[-1], out=work[0])
-    out += work
 
 
 _WORKSPACE = [np.empty(0), np.empty(0)]
@@ -53,35 +38,26 @@ def _workspace(slot: int, shape: tuple[int, int]) -> np.ndarray:
     return _WORKSPACE[slot][:size].reshape(shape)
 
 
-def forecast_mean(mean: np.ndarray, grid: GridSpec, speeds: np.ndarray) -> np.ndarray:
-    """T m: the forecast mean, the model's own advection product, as in ``model_step``.
-
-    ``mean`` may be a stack (..., N): T is built once, and each row gets its
-    own matrix-vector product and so the bits of its one-mean forecast.
-    """
-    return np.matmul(lax_friedrichs_matrix(grid, speeds), mean[..., None])[..., 0]
-
-
 def forecast(prev: StateEstimate, grid: GridSpec, model_cfg: ModelConfig,
              speeds: np.ndarray, out: np.ndarray | None = None) -> StateEstimate:
     """One forecast step of the filter through the Lax-Friedrichs model.
 
     Returns (T m, T P T^T + noise_var * I), the covariance symmetrized, with
-    the mean from :func:`forecast_mean`. T has two diagonals, so T P T^T
-    costs O(N^2): T is applied to the rows of P, then to the columns of the
-    result.
+    the mean from :func:`~dlfilter.model.advect`. T has two diagonals, so
+    T P T^T costs O(N^2): :func:`~dlfilter.model.apply_transition` applies T
+    to the rows of P, then to the columns of the result.
 
     The covariance is written to ``out`` (a new array if None). ``out`` may
     be ``prev.covariance`` itself: P is read in full before ``out`` is
     written, so a caller done with ``prev`` can forecast into its buffer.
     """
-    mean = forecast_mean(prev.mean, grid, speeds)
+    mean = advect(prev.mean, grid, speeds)
     right, left = lax_friedrichs_weights(grid, speeds)
     shape = prev.covariance.shape
     cov = np.empty(shape) if out is None else out
     rows, work = _workspace(0, shape), _workspace(1, shape)
-    _apply_transition(right, left, prev.covariance, rows, work)
-    _apply_transition(right, left, rows.T, cov.T, work.T)
+    apply_transition(right, left, prev.covariance, rows, work)
+    apply_transition(right, left, rows.T, cov.T, work.T)
     np.add(cov, cov.T, out=rows)
     np.multiply(rows, 0.5, out=cov)
     cov.flat[::shape[0] + 1] += model_cfg.noise_var  # the diagonal

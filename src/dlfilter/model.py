@@ -1,4 +1,4 @@
-"""Discrete forward model: one-step stochastic Lax-Friedrichs advection."""
+"""Discrete forward model: stochastic Lax-Friedrichs advection, all products with its transition."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ import numpy as np
 
 from .core import GridSpec, NoiseSource, gaussian_vector
 
-__all__ = ["ModelConfig", "lax_friedrichs_weights", "lax_friedrichs_matrix", "model_step"]
+__all__ = ["ModelConfig", "lax_friedrichs_weights", "lax_friedrichs_matrix", "advect",
+           "apply_transition", "model_step"]
 
 # Slack on the |lambda| <= 1 stability bound to absorb rounding in dt/dx.
 _CFL_SLACK = 1e-12
@@ -65,6 +66,28 @@ def lax_friedrichs_matrix(grid: GridSpec, speeds: np.ndarray) -> np.ndarray:
     return matrix
 
 
+def advect(state: np.ndarray, grid: GridSpec, speeds: np.ndarray) -> np.ndarray:
+    """T x: the noise-free Lax-Friedrichs step of one state (N,) or a stack (..., N).
+
+    T is built once per call, and each row gets its own matrix-vector
+    product, so a row of a stack equals its one-state advection bit for bit.
+    """
+    return np.matmul(lax_friedrichs_matrix(grid, speeds), state[..., None])[..., 0]
+
+
+def apply_transition(right: np.ndarray, left: np.ndarray, x: np.ndarray,
+                     out: np.ndarray, work: np.ndarray) -> None:
+    """out = T @ x along x's first axis, T the ``(right, left)`` of :func:`lax_friedrichs_weights`.
+
+    ``work`` has the shape of ``out`` and is overwritten.
+    """
+    np.multiply(right[:-1, None], x[1:], out=out[:-1])
+    np.multiply(right[-1], x[0], out=out[-1])
+    np.multiply(left[1:, None], x[:-1], out=work[1:])
+    np.multiply(left[0], x[-1], out=work[0])
+    out += work
+
+
 def model_step(state: np.ndarray, grid: GridSpec, cfg: ModelConfig, speeds: np.ndarray,
                src: NoiseSource | typing.Sequence[NoiseSource]) -> np.ndarray:
     """Advance the state one step: advection, then additive model noise.
@@ -80,7 +103,7 @@ def model_step(state: np.ndarray, grid: GridSpec, cfg: ModelConfig, speeds: np.n
     if state.ndim > 2 or len(srcs) != (1 if state.ndim == 1 else len(state)):
         raise ValueError(f"need one noise source per state row: got {len(srcs)} for a state "
                          f"of shape {state.shape}")
-    out = np.matmul(lax_friedrichs_matrix(grid, speeds), state[..., None])[..., 0]
+    out = advect(state, grid, speeds)
     if cfg.noise_var > 0:
         for row, row_src in zip(out.reshape(-1, grid.n_points), srcs):
             row += gaussian_vector(row_src, grid.n_points, math.sqrt(cfg.noise_var))

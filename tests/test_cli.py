@@ -13,7 +13,8 @@ import dlfilter
 from dlfilter import cli
 from dlfilter.checks import run_all
 from dlfilter.cli import main
-from dlfilter.harness import config_to_flat, default_config, read_table
+from dlfilter.harness import (MAX_PRIOR_OVER_OBS_VAR, config_to_flat, default_config,
+                              read_table)
 from dlfilter.kalman import FilterError
 
 
@@ -105,15 +106,19 @@ def config_texts(draw):
     n_points = draw(st.integers(2, 24))
     n_steps = draw(st.integers(1, 20))
     noise = st.floats(0.0, 1.0)
+    obs_var = draw(st.floats(1e-3, 1.0))
+    # Prior variances from below obs_var to just under MAX_PRIOR_OVER_OBS_VAR * obs_var.
+    prior_cap = obs_var * MAX_PRIOR_OVER_OBS_VAR / 10.0 ** draw(st.integers(0, 12))
+    prior_share = st.floats(0.0, 0.4999)
     lines = {
         "drift": draw(st.sampled_from(["ou", "accelerating"])),
         "n_points": n_points,
         "n_steps": n_steps,
         "speed_noise": draw(noise),
         "forcing_noise": draw(noise),
-        "init_var": draw(noise),
-        "model_noise_var": draw(noise),
-        "obs_var": draw(st.floats(1e-3, 1.0)),
+        "init_var": draw(prior_share) * prior_cap,
+        "model_noise_var": draw(prior_share) * prior_cap / n_steps,
+        "obs_var": obs_var,
         "pulse_center": draw(st.floats(0.01, 1.99)),
         "space_freq": f"1/{draw(st.integers(1, n_points))}",
         "time_freq": f"1/{draw(st.integers(1, 4))}",
@@ -202,6 +207,9 @@ def test_bad_input_in_a_fresh_process(tmp_path):
      "dlfilter sweep: error: argument --xi: invalid _fraction_list value: 'abc'"),
     ("run", '{"config": {"drift": "ou"}, "pool_trace": "yes"}\n',
      "'pool_trace' must be true or false"),
+    # a prior this far above obs_var ran into a negative posterior variance
+    ("run", "drift = ou\ninit_var = 1e15\n",
+     "init_var + n_steps * model_noise_var = 1e+15 exceeds 1e+12 * obs_var = 0.02"),
 ], ids=["negative-present-time", "zero-space-freq", "pulse-outside-domain", "missing-config",
         "empty-xi-list", "nan-obs-var", "inf-model-noise-var", "nan-init-var",
         "nan-forcing-noise", "nan-relax-rate", "manifest-without-config", "cfl-at-start",
@@ -209,7 +217,7 @@ def test_bad_input_in_a_fresh_process(tmp_path):
         "zero-denominator-in-file", "zero-ou-points", "fractional-n-steps",
         "fractional-seed", "zero-obs-var", "negative-model-noise-var", "zero-steps",
         "negative-speed-noise", "stride-past-the-grid", "zero-denominator-xi", "zero-denominator-tau", "unparsable-xi",
-        "non-boolean-pool-trace"])
+        "non-boolean-pool-trace", "prior-dwarfs-obs-var"])
 def test_bad_input_is_one_error_line_with_status_2(tmp_path, capsys, command, config_text,
                                                    message):
     config = tmp_path / "scenario.cfg"

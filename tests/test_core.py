@@ -74,15 +74,27 @@ def test_gaussian_vector_rejects_negative_stddev():
 
 
 def test_equal_seeds_reproduce_sequences():
-    a = NoiseSource(7, 3).standard_normal(64)
-    b = NoiseSource(7, 3).standard_normal(64)
+    a = NoiseSource(7).standard_normal(64)
+    b = NoiseSource(7).standard_normal(64)
     assert np.array_equal(a, b)
 
 
 def test_distinct_streams_differ():
-    a = NoiseSource(7, 0).standard_normal(64)
-    b = NoiseSource(7, 1).standard_normal(64)
-    assert not np.array_equal(a, b)
+    a = NoiseSource(7).standard_normal(64)
+    for other in (NoiseSource(8), NoiseSource(7).child(1)):
+        assert not np.array_equal(a, other.standard_normal(64))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 202])
+def test_noise_source_keys_are_seed_zero_then_tags(seed):
+    # Every recorded draw was made under these generator keys.
+    assert np.array_equal(NoiseSource(seed).standard_normal(16),
+                          np.random.default_rng((seed, 0)).standard_normal(16))
+    for tag in (0, 3):
+        assert np.array_equal(NoiseSource(seed).child(tag).standard_normal(16),
+                              np.random.default_rng((seed, 0, tag)).standard_normal(16))
+    assert np.array_equal(NoiseSource(seed).child(1).child(2).standard_normal(16),
+                          np.random.default_rng((seed, 0, 1, 2)).standard_normal(16))
 
 
 def test_child_streams_are_independent_and_reproducible():

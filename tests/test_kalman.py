@@ -4,12 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from dlfilter.checks import condition_on_stations
 from dlfilter.core import NoiseSource, StateEstimate, make_grid
-from dlfilter.harness import default_config
-from dlfilter.kalman import (FilterError, analysis, condition, forecast, forecast_mean,
-                             gain_columns, update_mean)
+from dlfilter.kalman import (FilterError, analysis, condition, forecast, gain_columns,
+                             update_mean)
 from dlfilter.model import ModelConfig, model_step
 from dlfilter.obsnet import Observation
-from dlfilter.truth import mean_speed
 
 
 def random_spd(rng, n, scale=1.0):
@@ -116,19 +114,6 @@ def test_forecast_mean_is_the_model_advection():
     est = forecast(StateEstimate(0, mean, random_spd(rng, 50)), grid, ModelConfig(0.08), speeds)
     np.testing.assert_array_equal(
         est.mean, model_step(mean, grid, ModelConfig(), speeds, NoiseSource(0)))
-    # A stack (filter, replicate, N) of strided rows is forecast row by row, bit for bit.
-    for drift in ("ou", "accelerating"):
-        for n in (50, 400):
-            cfg = default_config(drift, n_points=n)
-            speeds = mean_speed(cfg.truth_config, cfg.grid.positions, 40 * cfg.grid.dt)
-            stack = rng.standard_normal((2, 4, 3, n))[:, :, 1]
-            forecasts = forecast_mean(stack, cfg.grid, speeds)
-            assert forecasts.shape == stack.shape
-            for index in np.ndindex(stack.shape[:-1]):
-                row = stack[index].copy()
-                assert np.array_equal(forecasts[index], forecast_mean(row, cfg.grid, speeds))
-                assert np.array_equal(forecasts[index], model_step(row, cfg.grid, ModelConfig(),
-                                                                   speeds, NoiseSource(0)))
 
 
 @st.composite

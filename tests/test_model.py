@@ -3,7 +3,7 @@ import pytest
 
 from dlfilter.core import NoiseSource, make_grid
 from dlfilter.harness import default_config
-from dlfilter.model import (ModelConfig, lax_friedrichs_matrix, lax_friedrichs_weights,
+from dlfilter.model import (ModelConfig, advect, lax_friedrichs_matrix, lax_friedrichs_weights,
                             model_step)
 from dlfilter.truth import mean_speed
 
@@ -155,6 +155,21 @@ def test_model_step_of_a_stack_equals_its_rows_bit_for_bit(drift, n):
         for row, state in enumerate(states):
             alone = model_step(state.copy(), grid, cfg, speeds, NoiseSource(7 + row))
             assert np.array_equal(stepped[row], alone)
+
+
+@pytest.mark.parametrize("drift", ["ou", "accelerating"])
+@pytest.mark.parametrize("n", [50, 400])
+def test_advect_of_a_stack_equals_its_rows_bit_for_bit(drift, n):
+    grid, speeds = scenario_speeds(drift, n, step=41)
+    # A (filter, replicate, N) stack of strided rows, as the followers' means sit in a run.
+    stack = np.random.default_rng(n).standard_normal((2, 4, 3, n))[:, :, 1]
+    advected = advect(stack, grid, speeds)
+    assert advected.shape == stack.shape
+    for index in np.ndindex(stack.shape[:-1]):
+        row = stack[index].copy()
+        assert np.array_equal(advected[index], advect(row, grid, speeds))
+        assert np.array_equal(advected[index], model_step(row, grid, ModelConfig(), speeds,
+                                                          NoiseSource(0)))
 
 
 def test_model_step_refuses_a_source_count_that_is_not_the_rows():
