@@ -11,8 +11,8 @@ from .core import GridSpec, NoiseSource, StateEstimate, gaussian_vector, make_gr
 from .truth import (Drift, TruthConfig, TruthField, generate_truth, initial_pulse,
                     mean_speed, pulse_profile, step_characteristic_exact)
 from .model import ModelConfig, lax_friedrichs_matrix, lax_friedrichs_weights, model_step
-from .obsnet import (Observation, ObsNetwork, build_network, observation_matrix,
-                     observations_by_step, sample_observations)
+from .obsnet import (Observation, ObservationBatch, ObsNetwork, build_network,
+                     observation_matrix, observations_by_step, sample_observations)
 from .kalman import FilterError, analysis, condition, forecast, gain_columns
 from .dlf import (DlfStepResult, LikelihoodAssembly, Pool, dlf_step, multi_analysis, project,
                   propagate_observation, propagate_variance, rank_order, viability_filter)
@@ -25,7 +25,7 @@ __all__ = [
     "Drift", "TruthConfig", "TruthField", "generate_truth", "initial_pulse",
     "mean_speed", "pulse_profile", "step_characteristic_exact",
     "ModelConfig", "lax_friedrichs_matrix", "lax_friedrichs_weights", "model_step",
-    "Observation", "ObsNetwork", "build_network", "observation_matrix",
+    "Observation", "ObservationBatch", "ObsNetwork", "build_network", "observation_matrix",
     "observations_by_step", "sample_observations",
     "FilterError", "analysis", "condition", "forecast", "gain_columns",
     "DlfStepResult", "LikelihoodAssembly", "Pool", "dlf_step", "multi_analysis", "project",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import GridSpec, StateEstimate
 from .kalman import condition
-from .obsnet import Observation, read_block
+from .obsnet import Observation, ObservationBatch, read_block
 from .truth import TruthConfig, mean_speed
 
 __all__ = [
@@ -192,7 +192,7 @@ def multi_analysis(forecast_est: StateEstimate, assembly: LikelihoodAssembly,
     return StateEstimate(time_index=forecast_est.time_index, mean=mean, covariance=cov)
 
 
-def dlf_step(forecast_est: StateEstimate, pool: Pool, fresh: list[Observation],
+def dlf_step(forecast_est: StateEstimate, pool: Pool, fresh: ObservationBatch | list[Observation],
              grid: GridSpec, truth_cfg: TruthConfig,
              factors_out: list | None = None) -> DlfStepResult:
     """Assimilate the pool and fresh data into one step's model forecast.

@@ -9,6 +9,7 @@ plot-ready CSV files plus a JSON manifest that reproduces the run exactly.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import statistics
@@ -26,8 +27,8 @@ from .core import GridSpec, NoiseSource, StateEstimate, make_grid
 from .dlf import POOL_CAP_FACTOR, DlfStepResult, LikelihoodAssembly, Pool, dlf_step
 from .kalman import analysis, forecast, update_mean
 from .model import ModelConfig, advect, lax_friedrichs_weights, model_step
-from .obsnet import (Observation, build_network, observation_matrix,
-                     observations_by_step, sample_observations)
+from .obsnet import (ObservationBatch, build_network, observation_matrix, observations_by_step,
+                     sample_observations)
 from .truth import Drift, TruthConfig, TruthField, generate_truth, mean_speed, pulse_profile
 
 __all__ = [
@@ -56,6 +57,24 @@ FLOAT_FMT = ".17g"
 def _step_speeds(truth_cfg: TruthConfig, grid: GridSpec, step: int) -> np.ndarray:
     """The station speeds that drive step ``step``: the mean speed at (step - 1) * dt."""
     return np.asarray(mean_speed(truth_cfg, grid.positions, (step - 1) * grid.dt), dtype=float)
+
+
+def _run_speeds(cfg: ScenarioConfig, model_only: np.ndarray | None = None,
+                srcs: typing.Sequence[NoiseSource] = ()) -> typing.Iterator[np.ndarray]:
+    """Yield the station speeds of steps 1 to n_steps of a run, each made once.
+
+    Each step's speeds first advance the stack ``model_only`` (R, n_steps + 1, N),
+    whose row 0 is set, by one ``model_step`` for all R rows: row r draws the
+    noise of ``srcs[r]``. The stack is complete once the last speeds are read.
+    """
+    noise_var = cfg.model_noise_var if cfg.model_mode == "stochastic" else 0.0
+    model_cfg = ModelConfig(noise_var=noise_var)
+    for step in range(1, cfg.n_steps + 1):
+        speeds = _step_speeds(cfg.truth_config, cfg.grid, step)
+        if srcs:
+            model_only[:, step] = model_step(model_only[:, step - 1], cfg.grid, model_cfg,
+                                             speeds, srcs)
+        yield speeds
 
 
 # The canonical scenario of each drift family: the values its unset fields take.
@@ -185,7 +204,7 @@ class RunResult:
 
     config: ScenarioConfig
     truth: TruthField
-    observations: list[Observation]
+    observations: ObservationBatch
     model_only: np.ndarray            # (n_steps + 1, n_points)
     kf_mean: np.ndarray               # (n_steps + 1, n_points)
     dlf_mean: np.ndarray              # (n_steps + 1, n_points)
@@ -200,8 +219,9 @@ class RunResult:
     def _replay(self) -> tuple[list[StateEstimate], list[StateEstimate]]:
         # A cell of one into scratch rows; each covariance buffer is reused: keep copies.
         kf, dlf = [], []
-        scratch = np.empty((3, 1, *self.truth.values.shape))
-        for kf_est, dlf_result in _steps([self.config], [self.observations], scratch):
+        scratch = np.empty((2, 1, *self.truth.values.shape))
+        for kf_est, dlf_result in _steps([self.config], [self.observations], scratch,
+                                         _run_speeds(self.config)):
             for kept, est in ((kf, kf_est), (dlf, dlf_result.estimate)):
                 kept.append(replace(est, covariance=est.covariance.copy()))
         return kf, dlf
@@ -249,14 +269,15 @@ def _without_seeds(cfg: ScenarioConfig) -> dict:
 
 
 def _steps(cell: typing.Sequence[ScenarioConfig],
-           observations: typing.Sequence[list[Observation]], means: np.ndarray):
-    """Advance the model-only trajectory, the KF and the DLF over one cell of runs.
+           observations: typing.Sequence[ObservationBatch], means: np.ndarray,
+           speeds: typing.Iterable[np.ndarray]):
+    """Advance the KF and the DLF over one cell of runs.
 
     ``cell`` is ``[lead, *followers]``: replicate r reads ``observations[r]``
-    and fills ``means[:, r]``, its (model-only, KF, DLF) rows of the
-    (3, R, n_steps + 1, N) block ``means``. Each step's station speeds drive
-    the model-only steps and the one model forecast of both filters, which
-    differ only in what they assimilate. The lead steps both filters in full.
+    and fills ``means[:, r]``, its (KF, DLF) rows of the (2, R, n_steps + 1, N)
+    block ``means``. The station speeds of each step, read in turn from
+    ``speeds`` (see ``_run_speeds``), drive the one model forecast of both
+    filters, which differ only in what they assimilate. The lead steps both filters in full.
     Yields the lead's ``(kf_estimate, dlf_step_result)`` for steps 0 to
     n_steps, each once its step's rows are written; step 0 is the initial
     state, with an empty pool and assembly. The same inputs replay the same
@@ -268,8 +289,7 @@ def _steps(cell: typing.Sequence[ScenarioConfig],
     Moore, *Optimal Filtering*, 1979, §3.1): the covariances, and for the
     DLF where each pooled datum sits, its variance, what viability sheds
     and the cap evicts, and which datum wins each station, follow from the
-    config without its seeds. So every replicate steps its model-only row
-    with its own noise, and the followers step each filter's mean by
+    config without its seeds. So the followers step each filter's mean by
     ``advect`` and, when the lead analysed that step, ``update_mean``
     on their own readings with the lead's stations and factors (L, W); the
     DLF reads each winning datum at its origin step and station. A follower
@@ -278,9 +298,8 @@ def _steps(cell: typing.Sequence[ScenarioConfig],
     breaks this: a config with one must not have followers. A cell of one
     asks for no factors.
 
-    A step passes its rows to each call as one stack: all model-only rows
-    to ``model_step``, the followers' KF and DLF means to ``advect`` and
-    one filter's to ``update_mean``. Each row keeps its own BLAS and
+    A step passes the followers' KF and DLF means to ``advect`` as one stack,
+    and one filter's to ``update_mean``. Each row keeps its own BLAS and
     LAPACK calls, so a follower builds no transition of its own.
 
     Each filter forecasts into its last estimate's covariance buffer, so a
@@ -292,13 +311,10 @@ def _steps(cell: typing.Sequence[ScenarioConfig],
     fresh_by_step = observations_by_step(observations[0])
     obs_mat = observation_matrix(cfg.network, grid)
     model_cfg = ModelConfig(noise_var=cfg.model_noise_var)
-    model_only_cfg = model_cfg if cfg.model_mode == "stochastic" else ModelConfig(noise_var=0.0)
-    model_srcs = [NoiseSource(other.seed_model) for other in cell]
     # readings[r, t, s]: follower r's reading of station s at step t, nan where none was made
     readings = np.full((len(cell) - 1, grid.n_steps + 1, grid.n_points), np.nan)
-    for rows, follower_observations in zip(readings, observations[1:]):
-        for obs in follower_observations:
-            rows[obs.time_index, obs.station] = obs.value
+    for rows, batch in zip(readings, observations[1:]):
+        rows[batch.time_index, batch.station] = batch.value
 
     start = pulse_profile(grid, cfg.pulse_center)
     means[:, :, 0] = start
@@ -309,16 +325,13 @@ def _steps(cell: typing.Sequence[ScenarioConfig],
                                Pool.empty(time_index=0), LikelihoodAssembly.empty())
     yield kf_est, dlf_result
 
-    model_only, (lead_kf, lead_dlf) = means[0], means[1:, 0]
-    followers = means[1:, 1:]  # (KF, DLF) x follower
-    for step in range(1, grid.n_steps + 1):
-        speeds = _step_speeds(truth_cfg, grid, step)
-        model_only[:, step] = model_step(model_only[:, step - 1], grid, model_only_cfg, speeds,
-                                         model_srcs)
-        kf_est = forecast(kf_est, grid, model_cfg, speeds, out=kf_est.covariance)
+    lead_kf, lead_dlf = means[:, 0]
+    followers = means[:, 1:]  # (KF, DLF) x follower
+    for step, step_speeds in enumerate(speeds, start=1):
+        kf_est = forecast(kf_est, grid, model_cfg, step_speeds, out=kf_est.covariance)
         # The DLF forecasts before the KF analysis: rebinding dlf_prior frees the
         # last step's prior before the KF's posterior is allocated.
-        dlf_prior = forecast(dlf_result.estimate, grid, model_cfg, speeds,
+        dlf_prior = forecast(dlf_result.estimate, grid, model_cfg, step_speeds,
                              out=dlf_result.estimate.covariance)
 
         fresh = fresh_by_step.get(step, [])
@@ -329,11 +342,10 @@ def _steps(cell: typing.Sequence[ScenarioConfig],
         lead_kf[step], lead_dlf[step] = kf_est.mean, dlf_result.estimate.mean
 
         if len(cell) > 1:
-            followers[:, :, step] = advect(followers[:, :, step - 1], grid, speeds)
+            followers[:, :, step] = advect(followers[:, :, step - 1], grid, step_speeds)
         updates = []
         if kf_factors:
-            stations = np.array([obs.station for obs in fresh])
-            updates.append((followers[0], stations, step, stations, *kf_factors[0]))
+            updates.append((followers[0], fresh.station, step, fresh.station, *kf_factors[0]))
         if dlf_factors:
             chosen, pool = dlf_result.assembly.selected, dlf_result.pool
             updates.append((followers[1], dlf_result.assembly.informed_stations,
@@ -345,9 +357,47 @@ def _steps(cell: typing.Sequence[ScenarioConfig],
         yield kf_est, dlf_result
 
 
+class _Inputs:
+    """The truths and model-only trajectories of runs, each made once.
+
+    Neither reads the observation network, so every cell of a sweep that
+    shares their inputs shares them. Each is kept under everything it reads.
+    """
+
+    def __init__(self):
+        self._truths: dict[tuple, TruthField] = {}
+        self._model_only: dict[tuple, np.ndarray] = {}
+
+    def truth(self, cfg: ScenarioConfig) -> TruthField:
+        key = (cfg.grid, cfg.truth_config, cfg.seed_truth)
+        if key not in self._truths:
+            self._truths[key] = generate_truth(cfg.grid, cfg.truth_config,
+                                               NoiseSource(cfg.seed_truth))
+        return self._truths[key]
+
+    def model_only(self, cell: list[ScenarioConfig]) -> tuple[list[np.ndarray],
+                                                              typing.Iterator[np.ndarray]]:
+        """The model-only trajectory (n_steps + 1, N) of each config of a cell,
+        and the station speeds of the cell's steps (see ``_run_speeds``).
+
+        The trajectories not made yet step as one stack as the speeds are
+        read, and are complete once the last are.
+        """
+        cfg = cell[0]
+        keys = [(c.grid, c.truth_config, c.model_noise_var, c.model_mode, c.pulse_center,
+                 c.seed_model) for c in cell]
+        missing = {key: c for key, c in zip(keys, cell) if key not in self._model_only}
+        rows = np.empty((len(missing), cfg.n_steps + 1, cfg.n_points))
+        rows[:, 0] = pulse_profile(cfg.grid, cfg.pulse_center)
+        self._model_only.update(zip(missing, rows))
+        speeds = _run_speeds(cfg, rows, [NoiseSource(c.seed_model) for c in missing.values()])
+        return [self._model_only[key] for key in keys], speeds
+
+
 def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False,
                  followers: typing.Sequence[ScenarioConfig] = (),
-                 follower_results: list | None = None) -> RunResult:
+                 follower_results: list | None = None,
+                 inputs: _Inputs | None = None) -> RunResult:
     """Run truth, model-only, Kalman, and dynamic likelihood estimators once.
 
     Keeps each step's means and covariance traces, not the covariances.
@@ -355,7 +405,9 @@ def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False,
     their runs step in lockstep behind this one and share its filters'
     factors (see ``_steps``), and their results are appended to
     ``follower_results``. Each equals ``run_scenario`` of its own config,
-    and this run's result is the same with or without followers.
+    and this run's result is the same with or without followers. ``inputs``
+    holds the truths and model-only trajectories that earlier runs made (see
+    :func:`sweep`); by default a run makes its own.
     """
     structure = _without_seeds(cfg)
     for other in followers:
@@ -363,15 +415,17 @@ def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False,
         if differ:
             raise ValueError(f"a follower must differ from its lead config in its seeds "
                              f"only; one differs in {differ}")
+    inputs = _Inputs() if inputs is None else inputs
     cell = [cfg, *followers]
-    truths = [generate_truth(c.grid, c.truth_config, NoiseSource(c.seed_truth)) for c in cell]
+    truths = [inputs.truth(c) for c in cell]
+    model_only, speeds = inputs.model_only(cell)
     observations = [sample_observations(truth, c.network, NoiseSource(c.seed_obs),
                                         max_step=c.last_data_step)
                     for c, truth in zip(cell, truths)]
-    means = np.empty((3, len(cell), cfg.n_steps + 1, cfg.n_points))
+    means = np.empty((2, len(cell), cfg.n_steps + 1, cfg.n_points))
     trace_kf, trace_dlf = np.empty(cfg.n_steps + 1), np.empty(cfg.n_steps + 1)
     pool_trace: list[tuple] | None = [] if collect_pool_trace else None
-    for step, (kf_est, dlf_result) in enumerate(_steps(cell, observations, means)):
+    for step, (kf_est, dlf_result) in enumerate(_steps(cell, observations, means, speeds)):
         trace_kf[step], trace_dlf[step] = kf_est.trace, dlf_result.estimate.trace
         if pool_trace is not None:
             pool = dlf_result.pool
@@ -380,10 +434,11 @@ def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False,
             pool_trace.extend((step, *row) for row in zip(
                 pool.origin_time.tolist(), pool.position.tolist(), pool.variance.tolist(),
                 selected.tolist()))
-    results = [RunResult(c, truth, obs, *arrays,
-                         metrics=_compute_metrics(c.grid, truth, *arrays, trace_kf, trace_dlf))
-               for c, truth, obs, arrays in zip(cell, truths, observations,
-                                                means.swapaxes(0, 1))]
+    results = [RunResult(c, truth, obs, model, *filtered,
+                         metrics=_compute_metrics(c.grid, truth, model, *filtered, trace_kf,
+                                                  trace_dlf))
+               for c, truth, obs, model, filtered in zip(cell, truths, observations, model_only,
+                                                         means.swapaxes(0, 1))]
     if follower_results is not None:
         follower_results.extend(results[1:])
     return replace(results[0], pool_trace=pool_trace)
@@ -444,23 +499,30 @@ def sweep_configs(base: ScenarioConfig, xi_list, tau_list,
             for xi in xi_list for tau in tau_list]
 
 
-def summarize_cell(cell: list[ScenarioConfig]) -> list[dict[str, float]]:
+def summarize_cell(cell: list[ScenarioConfig],
+                   inputs: _Inputs | None = None) -> list[dict[str, float]]:
     """The summary of each replicate run of one cell of :func:`sweep_configs`.
 
     The first replicate's run leads and the others follow it in lockstep
-    (see ``run_scenario``), so each summary is that of ``run_scenario`` of
-    its config.
+    (see ``run_scenario``, which gets ``inputs``), so each summary is that
+    of ``run_scenario`` of its config.
     """
     followers: list[RunResult] = []
-    lead = run_scenario(cell[0], followers=cell[1:], follower_results=followers)
+    lead = run_scenario(cell[0], followers=cell[1:], follower_results=followers, inputs=inputs)
     return [summarize_run(result) for result in (lead, *followers)]
 
 
 def sweep(cells: list[list[ScenarioConfig]]) -> list[dict]:
-    """Replicate-aggregated metrics per cell of :func:`sweep_configs`."""
+    """Replicate-aggregated metrics per cell of :func:`sweep_configs`.
+
+    The cells share one set of inputs, so each truth and model-only
+    trajectory is made once for every cell that reads it: once per seed,
+    not once per cell, when the cells differ in their sampling alone.
+    """
+    inputs = _Inputs()
     rows = []
     for cell in cells:
-        summaries = summarize_cell(cell)
+        summaries = summarize_cell(cell, inputs)
         row: dict = {"xi": str(cell[0].space_freq), "tau": str(cell[0].time_freq),
                      "replicates": len(cell)}
         for key in summaries[0]:
@@ -593,6 +655,7 @@ def write_outputs(result: RunResult, out_dir) -> list[Path]:
     stations = [f"station_{k}" for k in range(grid.n_points)]
     metric_columns = [f.name for f in fields(MetricTable)]
     final_truth = result.truth.values[-1]
+    obs = result.observations
 
     tables = {
         "truth.csv": (stations, map(np.ndarray.tolist, result.truth.values)),
@@ -607,8 +670,8 @@ def write_outputs(result: RunResult, out_dir) -> list[Path]:
                                *((means[-1] - final_truth).tolist() for means in
                                  (result.model_only, result.kf_mean, result.dlf_mean)))),
         "observations.csv": (["time_index", "station", "value", "variance"],
-                             ((o.time_index, o.station, o.value, o.variance)
-                              for o in result.observations)),
+                             zip(obs.time_index.tolist(), obs.station.tolist(),
+                                 obs.value.tolist(), itertools.repeat(obs.variance))),
     }
     if result.pool_trace is not None:
         tables["pool_trace.csv"] = (["step", "origin_time", "position", "variance", "selected"],

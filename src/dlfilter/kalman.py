@@ -11,7 +11,7 @@ import scipy.linalg
 
 from .core import GridSpec, StateEstimate
 from .model import ModelConfig, advect, apply_transition, lax_friedrichs_weights
-from .obsnet import Observation, read_block
+from .obsnet import Observation, ObservationBatch, read_block
 
 __all__ = ["FilterError", "forecast", "analysis", "condition", "update_mean", "gain_columns"]
 
@@ -146,7 +146,7 @@ def gain_columns(cov: np.ndarray, stations, variances) -> np.ndarray:
     return scipy.linalg.solve_triangular(factor, weights, lower=True, trans="T").T
 
 
-def analysis(forecast_est: StateEstimate, obs_block: list[Observation],
+def analysis(forecast_est: StateEstimate, obs_block: ObservationBatch | list[Observation],
              obs_matrix: np.ndarray, obs_var: float,
              factors_out: list | None = None) -> StateEstimate:
     """Condition the forecast on a block of same-time observations.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from .truth import TruthField
 __all__ = [
     "ObsNetwork",
     "Observation",
+    "ObservationBatch",
     "build_network",
     "sample_observations",
     "observation_matrix",
@@ -78,23 +80,51 @@ def build_network(grid: GridSpec, xi, tau, noise_var: float) -> ObsNetwork:
                       noise_var=float(noise_var))
 
 
+@dataclass(frozen=True, eq=False)
+class ObservationBatch:
+    """A run's readings as arrays, in acquisition order: entry i is the reading
+    of ``station[i]`` at step ``time_index[i]``, of value ``value[i]``.
+
+    Every reading carries the network's ``variance``. Iterating the batch
+    yields each reading as an :class:`Observation`.
+    """
+
+    time_index: np.ndarray
+    station: np.ndarray
+    value: np.ndarray
+    variance: float
+
+    def __post_init__(self):
+        if self.variance <= 0:
+            raise ValueError("observation variance must be positive")
+
+    def __len__(self) -> int:
+        return self.value.size
+
+    def __iter__(self) -> typing.Iterator[Observation]:
+        for time_index, station, value in zip(self.time_index.tolist(), self.station.tolist(),
+                                              self.value.tolist()):
+            yield Observation(value=value, station=station, time_index=time_index,
+                              variance=self.variance)
+
+
 def sample_observations(truth: TruthField, net: ObsNetwork, src: NoiseSource,
-                        max_step: int | None = None) -> list[Observation]:
+                        max_step: int | None = None) -> ObservationBatch:
     """Read the truth at every acquisition time/station and add N(0, R) noise.
 
     ``max_step`` bounds the acquisition times (the "present"); by default the
-    whole truth record is observed.
+    whole truth record is observed. Each acquisition step draws one standard
+    normal per station, in station order.
     """
     last = truth.values.shape[0] - 1 if max_step is None else min(max_step, truth.values.shape[0] - 1)
-    std = math.sqrt(net.noise_var)
-    out = []
-    for step in range(net.step_stride, last + 1, net.step_stride):
-        draws = src.standard_normal(net.n_stations)
-        for k, station in enumerate(net.station_indices):
-            value = truth.values[step, station] + std * draws[k]
-            out.append(Observation(value=float(value), station=station,
-                                   time_index=step, variance=net.noise_var))
-    return out
+    steps = np.arange(net.step_stride, last + 1, net.step_stride)
+    stations = np.array(net.station_indices, dtype=np.int64)
+    # One draw of every step's normals gives the same numbers as one draw per step.
+    draws = src.standard_normal(steps.size * stations.size).reshape(steps.size, stations.size)
+    values = truth.values[steps[:, None], stations] + math.sqrt(net.noise_var) * draws
+    return ObservationBatch(time_index=np.repeat(steps, stations.size),
+                            station=np.tile(stations, steps.size), value=values.ravel(),
+                            variance=net.noise_var)
 
 
 def observation_matrix(net: ObsNetwork, grid: GridSpec) -> np.ndarray:
@@ -104,23 +134,34 @@ def observation_matrix(net: ObsNetwork, grid: GridSpec) -> np.ndarray:
     return h
 
 
-def observations_by_step(observations: list[Observation]) -> dict[int, list[Observation]]:
-    """Group observations by acquisition step, preserving order within a step."""
-    grouped: dict[int, list[Observation]] = {}
-    for obs in observations:
-        grouped.setdefault(obs.time_index, []).append(obs)
-    return grouped
+def observations_by_step(observations: ObservationBatch) -> dict[int, ObservationBatch]:
+    """Split a batch in acquisition order into one batch per step, preserving
+    order within a step."""
+    steps = observations.time_index
+    if (np.diff(steps) < 0).any():
+        raise ValueError("observations are not in acquisition order")
+    cuts = [0, *(np.flatnonzero(np.diff(steps)) + 1).tolist(), steps.size]
+    return {int(steps[a]): ObservationBatch(steps[a:b], observations.station[a:b],
+                                            observations.value[a:b], observations.variance)
+            for a, b in zip(cuts, cuts[1:]) if b > a}
 
 
-def read_block(block: list[Observation], time_index: int,
+def read_block(block: ObservationBatch | list[Observation], time_index: int,
                n_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The values, stations and variances of a block of readings, each of which
-    must be taken at step ``time_index`` and at a station of a grid of ``n_points``."""
-    times = {obs.time_index for obs in block}
-    if times - {time_index}:
-        raise ValueError(f"observations at steps {sorted(times)}, expected step {time_index}")
-    stations = np.array([obs.station for obs in block], dtype=np.int64)
+    """The values, stations and variances of a block of readings, a batch or a
+    list, each of which must be taken at step ``time_index`` and at a station
+    of a grid of ``n_points``."""
+    if isinstance(block, ObservationBatch):
+        times, stations, values = block.time_index, block.station, block.value
+        variances = np.full(values.size, block.variance)
+    else:
+        times = np.array([obs.time_index for obs in block], dtype=np.int64)
+        stations = np.array([obs.station for obs in block], dtype=np.int64)
+        values = np.array([obs.value for obs in block], dtype=float)
+        variances = np.array([obs.variance for obs in block], dtype=float)
+    if (times != time_index).any():
+        raise ValueError(f"observations at steps {sorted(set(times.tolist()))}, "
+                         f"expected step {time_index}")
     if ((stations < 0) | (stations >= n_points)).any():
         raise ValueError("observation station outside the grid")
-    return (np.array([obs.value for obs in block], dtype=float), stations,
-            np.array([obs.variance for obs in block], dtype=float))
+    return values, stations, variances

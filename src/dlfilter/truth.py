@@ -138,7 +138,9 @@ def step_characteristic_exact(cfg: TruthConfig, x, t: float, dt: float,
 
 def _interp_periodic(targets: np.ndarray, positions: np.ndarray, values: np.ndarray,
                      period: float) -> np.ndarray:
-    if np.unique(np.mod(positions, period)).size < 2:
+    wrapped = np.mod(positions, period)
+    # Fewer than 2 distinct points, as np.unique counts them, without its sort.
+    if wrapped.size < 2 or wrapped.min() == wrapped.max():
         raise ValueError("characteristics collapsed to fewer than 2 distinct positions")
     return np.interp(targets, positions, values, period=period)
 

@@ -10,7 +10,7 @@ from dlfilter.dlf import (POOL_CAP_FACTOR, Pool, dlf_step, multi_analysis, proje
                           viability_filter)
 from dlfilter.kalman import analysis, forecast, gain_columns
 from dlfilter.model import ModelConfig
-from dlfilter.obsnet import Observation, build_network
+from dlfilter.obsnet import Observation, ObservationBatch, build_network
 from dlfilter.truth import Drift, TruthConfig, mean_speed
 
 
@@ -566,8 +566,10 @@ def test_both_filters_reject_a_bad_block_with_one_message(filter_step, stations,
     forecast_est = StateEstimate(1, np.zeros(50), 0.02 * np.eye(50))
     block = [Observation(value=1.0, station=s, time_index=t, variance=0.02)
              for s, t in zip(stations, times)]
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        filter_step(forecast_est, block)
+    batch = ObservationBatch(np.array(times), np.array(stations), np.ones(len(times)), 0.02)
+    for readings in (block, batch):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            filter_step(forecast_est, readings)
 
 
 # --- array pool equals a per-datum reference ----------------------------------------------

@@ -414,6 +414,23 @@ def test_swept_replicates_equal_their_own_runs_bit_for_bit(monkeypatch, name):
                                   getattr(own.metrics, series.name)), series.name
 
 
+def test_a_sweep_makes_each_replicates_inputs_once_for_all_its_cells(monkeypatch):
+    truth_seeds, model_only_rows = [], []
+    generate, step = harness.generate_truth, harness.model_step
+    monkeypatch.setattr(harness, "generate_truth", lambda grid, cfg, src: (
+        truth_seeds.append(src.seed) or generate(grid, cfg, src)))
+    monkeypatch.setattr(harness, "model_step", lambda state, *args: (
+        model_only_rows.append(len(state)) or step(state, *args)))
+    cfg = small_cfg()
+    cells = sweep_configs(cfg, [Fraction(1), Fraction(1, 5)], [Fraction(1), Fraction(1, 5)], 3)
+    swept = swept_results(monkeypatch, cells)
+    assert len(cells) == 4 and len(swept) == 12
+    assert sorted(truth_seeds) == [cfg.seed_truth + rep for rep in range(3)]
+    assert model_only_rows == [3] * cfg.n_steps  # one pass, all three replicates as one stack
+    for result in swept:
+        assert summarize_run(result) == summarize_run(run_scenario(result.config))
+
+
 @st.composite
 def small_cells(draw):
     """A cell of 2 or 3 replicates of a small random scenario that loads."""
@@ -468,9 +485,10 @@ def test_a_cell_refuses_a_follower_that_differs_beyond_its_seeds():
 def test_a_pool_names_the_observation_each_datum_came_from():
     result = run_scenario(small_cfg())
     readings = {(o.time_index, o.station): o.value for o in result.observations}
-    scratch = np.empty((3, 1, *result.truth.values.shape))
+    scratch = np.empty((2, 1, *result.truth.values.shape))
     pools = 0
-    for _, dlf_result in harness._steps([result.config], [result.observations], scratch):
+    for _, dlf_result in harness._steps([result.config], [result.observations], scratch,
+                                        harness._run_speeds(result.config)):
         pool = dlf_result.pool
         pools += len(pool) > 0
         assert [readings[source] for source in zip(pool.origin_time.tolist(),

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from dlfilter.core import NoiseSource, make_grid
 from dlfilter.harness import default_config, read_table, run_scenario, write_outputs
-from dlfilter.obsnet import (Observation, build_network, observation_matrix,
-                             observations_by_step, sample_observations)
+from dlfilter.obsnet import (Observation, ObservationBatch, build_network, observation_matrix,
+                             observations_by_step, read_block, sample_observations)
 from dlfilter.truth import Drift, TruthConfig, generate_truth
 
 
@@ -87,6 +88,39 @@ def test_observation_times_never_exceed_the_present():
     assert max(o.time_index for o in obs) <= 25
 
 
+def reference_observations(truth, net, src, max_step=None):
+    """The readings one datum at a time: one draw per acquisition step, then
+    one Observation per station."""
+    rows = truth.values.shape[0]
+    last = rows - 1 if max_step is None else min(max_step, rows - 1)
+    std = math.sqrt(net.noise_var)
+    out = []
+    for step in range(net.step_stride, last + 1, net.step_stride):
+        draws = src.standard_normal(net.n_stations)
+        for k, station in enumerate(net.station_indices):
+            out.append(Observation(value=float(truth.values[step, station] + std * draws[k]),
+                                   station=station, time_index=step, variance=net.noise_var))
+    return out
+
+
+@pytest.mark.parametrize("drift", ["ou", "accelerating"])
+@pytest.mark.parametrize("xi, tau", [(1, 1), (Fraction(1, 5), Fraction(1, 10)),
+                                     (Fraction(1, 4), Fraction(1, 3))])
+@pytest.mark.parametrize("present", ["end", "zero", "below-stride", "past-end"])
+def test_sampled_batch_equals_a_per_datum_reference_bit_for_bit(drift, xi, tau, present):
+    cfg = default_config(drift, n_steps=40, space_freq=xi, time_freq=tau)
+    truth = generate_truth(cfg.grid, cfg.truth_config, NoiseSource(cfg.seed_truth))
+    net = cfg.network
+    max_step = {"end": None, "zero": 0, "below-stride": net.step_stride - 1,
+                "past-end": cfg.n_steps + 7}[present]
+    batch = sample_observations(truth, net, NoiseSource(cfg.seed_obs), max_step)
+    reference = reference_observations(truth, net, NoiseSource(cfg.seed_obs), max_step)
+    assert len(batch) == len(reference)
+    assert list(batch) == reference
+    assert batch.value.tobytes() == np.array([o.value for o in reference]).tobytes()
+    assert (len(batch) == 0) == (present in ("zero", "below-stride"))
+
+
 def test_observation_matrix_dense_is_identity():
     grid = grid_for()
     net = build_network(grid, 1, 1, 0.02)
@@ -124,10 +158,19 @@ def test_group_by_step_preserves_station_order():
     grid = grid_for()
     truth = truth_for(grid)
     net = build_network(grid, Fraction(1, 5), Fraction(1, 10), 0.02)
-    grouped = observations_by_step(sample_observations(truth, net, NoiseSource(0)))
+    batch = sample_observations(truth, net, NoiseSource(0))
+    grouped = observations_by_step(batch)
+    assert [o for block in grouped.values() for o in block] == list(batch)
     for step, block in grouped.items():
         assert [o.station for o in block] == list(net.station_indices)
         assert all(o.time_index == step for o in block)
+        for got, want in zip(read_block(block, step, 50), read_block(list(block), step, 50),
+                             strict=True):
+            np.testing.assert_array_equal(got, want)
+    backwards = ObservationBatch(batch.time_index[::-1], batch.station[::-1],
+                                 batch.value[::-1], batch.variance)
+    with pytest.raises(ValueError, match="acquisition order"):
+        observations_by_step(backwards)
 
 
 def test_observations_roundtrip_csv(tmp_path):
@@ -139,9 +182,12 @@ def test_observations_roundtrip_csv(tmp_path):
     assert header == ["time_index", "station", "value", "variance"]
     assert [Observation(value=value, station=int(station), time_index=int(time_index),
                         variance=variance)
-            for time_index, station, value, variance in rows.tolist()] == result.observations
+            for time_index, station, value, variance in rows.tolist()] == (
+        list(result.observations))
 
 
 def test_observation_requires_positive_variance():
     with pytest.raises(ValueError):
         Observation(value=1.0, station=0, time_index=1, variance=0.0)
+    with pytest.raises(ValueError):
+        ObservationBatch(np.array([1]), np.array([0]), np.array([1.0]), variance=0.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dlfilter.core import NoiseSource, make_grid
-from dlfilter.truth import (Drift, TruthConfig, generate_truth, initial_pulse,
+from dlfilter.truth import (Drift, TruthConfig, _interp_periodic, generate_truth, initial_pulse,
                             mean_speed, pulse_profile, step_characteristic_exact)
 
 
@@ -201,6 +201,25 @@ def test_generate_truth_positions_stay_wrapped():
     field = generate_truth(grid, acc_config(base_speed=1.0), NoiseSource(6))
     assert np.all(field.characteristic_paths >= 0)
     assert np.all(field.characteristic_paths < grid.domain_length)
+
+
+@pytest.mark.parametrize("positions, collapsed", [
+    ([0.7, 0.7, 0.7], True),
+    ([0.0, 2.0], True),  # both wrap to 0
+    ([0.3, 1.1], False),
+], ids=["all-equal", "zero-and-period", "two-distinct"])
+def test_interpolation_refuses_characteristics_collapsed_to_one_point(positions, collapsed):
+    period = 2.0
+    positions = np.array(positions)
+    values = np.arange(positions.size, dtype=float)
+    targets = grid_for().positions
+    assert (np.unique(np.mod(positions, period)).size < 2) == collapsed
+    if collapsed:
+        with pytest.raises(ValueError, match="characteristics collapsed"):
+            _interp_periodic(targets, positions, values, period)
+    else:
+        np.testing.assert_array_equal(_interp_periodic(targets, positions, values, period),
+                                      np.interp(targets, positions, values, period=period))
 
 
 def test_ou_config_requires_positive_rate():
