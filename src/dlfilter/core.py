@@ -65,7 +65,8 @@ def _scale(cov: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class StateEstimate:
-    """Mean state and full covariance at one time index."""
+    """Mean state and full covariance at one time index; the mean may be a
+    stack (..., N) of replicate means, one per row, sharing the (N, N) covariance."""
 
     time_index: int
     mean: np.ndarray
@@ -78,8 +79,7 @@ class StateEstimate:
         object.__setattr__(self, "covariance", cov)
         if self.time_index < 0:
             raise ValueError("time_index must be nonnegative")
-        n = mean.shape[0]
-        if mean.ndim != 1 or cov.shape != (n, n):
+        if mean.ndim == 0 or cov.shape != mean.shape[-1:] * 2:
             raise ValueError(f"mean/covariance shapes inconsistent: {mean.shape} vs {cov.shape}")
         # The filters build exactly symmetric covariances, which skip the
         # tolerance scan; the scale is computed only when a test needs it.

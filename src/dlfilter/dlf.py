@@ -53,6 +53,9 @@ class Pool:
     Entry k is a measurement taken at step ``origin_time[k]`` and station
     ``origin_station[k]``, now at ``position[k]`` with inflated
     ``variance[k]``. Entries are kept in arrival order, oldest first.
+    ``value[..., k]`` is its reading, or a stack of one per replicate: where a
+    datum sits does not read the data, so replicates share every other array.
+    ``len()`` counts the data.
     """
 
     time_index: int
@@ -63,10 +66,10 @@ class Pool:
     origin_station: np.ndarray
 
     def __post_init__(self):
-        n = len(self.value)
+        n = len(self.position)
         for name, dtype in _POOL_DTYPES:
             array = np.asarray(getattr(self, name), dtype=dtype)
-            if array.shape != (n,):
+            if (array.shape[-1:] if name == "value" else array.shape) != (n,):
                 raise ValueError("pool arrays must be one-dimensional and of equal length")
             object.__setattr__(self, name, array)
         if (self.variance <= 0).any():
@@ -80,7 +83,7 @@ class Pool:
         return cls(time_index, np.empty(0), np.empty(0), np.empty(0), none, none)
 
     def __len__(self):
-        return self.value.shape[0]
+        return self.position.shape[0]
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,8 @@ class LikelihoodAssembly:
     """Winning datum per informed station, ready for the multi-analysis.
 
     ``selected[k]`` is the index, among the ranked candidates, of the datum
-    that informs ``informed_stations[k]``.
+    that informs ``informed_stations[k]``; ``projected_values[..., k]`` is its
+    reading, or a stack of one per replicate.
     """
 
     informed_stations: np.ndarray
@@ -100,8 +104,8 @@ class LikelihoodAssembly:
         k = len(self.informed_stations)
         if np.unique(self.informed_stations).size != k:
             raise ValueError("at most one datum per station")
-        if any(a.shape != (k,) for a in (self.projected_values, self.projected_variances,
-                                         self.selected)):
+        if any(shape != (k,) for shape in (self.projected_values.shape[-1:],
+                                           self.projected_variances.shape, self.selected.shape)):
             raise ValueError("assembly arrays must match the informed station count")
 
     @classmethod
@@ -158,7 +162,8 @@ def rank_order(stations: np.ndarray, values: np.ndarray,
     """Keep, per station, the candidate with the lowest variance.
 
     Ties go to the earlier candidate (the sort is stable), so among equally
-    uncertain data the one that joined the pool first wins.
+    uncertain data the one that joined the pool first wins. ``values`` may be
+    a stack, one row per replicate.
     """
     stations = np.asarray(stations, dtype=np.int64)
     values = np.asarray(values, dtype=float)
@@ -169,40 +174,37 @@ def rank_order(stations: np.ndarray, values: np.ndarray,
     first[1:] = ranked[1:] != ranked[:-1]
     selected = order[first]
     return LikelihoodAssembly(informed_stations=stations[selected],
-                              projected_values=values[selected],
+                              projected_values=values[..., selected],
                               projected_variances=variances[selected],
                               selected=selected)
 
 
-def multi_analysis(forecast_est: StateEstimate, assembly: LikelihoodAssembly,
-                   factors_out: list | None = None) -> StateEstimate:
+def multi_analysis(forecast_est: StateEstimate, assembly: LikelihoodAssembly) -> StateEstimate:
     """Condition the forecast on the assembled per-station data.
 
     Each informed station is read directly at its winning datum's variance;
     uninformed stations carry no reading (the infinite-variance limit). An
-    empty assembly leaves the forecast untouched. ``factors_out`` is passed
-    to :func:`~dlfilter.kalman.condition`.
+    empty assembly leaves the forecast untouched.
     """
     if len(assembly) == 0:
         return forecast_est
     mean, cov = condition(forecast_est.mean, forecast_est.covariance,
                           assembly.informed_stations, assembly.projected_values,
-                          assembly.projected_variances, time_index=forecast_est.time_index,
-                          factors_out=factors_out)
+                          assembly.projected_variances, time_index=forecast_est.time_index)
     return StateEstimate(time_index=forecast_est.time_index, mean=mean, covariance=cov)
 
 
 def dlf_step(forecast_est: StateEstimate, pool: Pool, fresh: ObservationBatch | list[Observation],
-             grid: GridSpec, truth_cfg: TruthConfig,
-             factors_out: list | None = None) -> DlfStepResult:
+             grid: GridSpec, truth_cfg: TruthConfig) -> DlfStepResult:
     """Assimilate the pool and fresh data into one step's model forecast.
 
     The pool's positions and variances are advanced to the forecast's time,
     the fresh readings join them at their stations, non-viable data are shed
     and the oldest beyond the cap evicted. The survivors form the step's one
     new pool, projected and rank-ordered into the assembly used by the
-    multi-analysis; the assembly's ``selected`` indexes them. ``factors_out``
-    is passed to the multi-analysis.
+    multi-analysis; the assembly's ``selected`` indexes them. A stacked
+    forecast mean takes a stacked pool and block, one row of values per
+    replicate.
     """
     now = forecast_est.time_index
     if pool.time_index + 1 != now:
@@ -214,11 +216,15 @@ def dlf_step(forecast_est: StateEstimate, pool: Pool, fresh: ObservationBatch | 
                                                   grid.dt), variances])
     kept = viability_filter(position, variance, forecast_est.covariance, grid)
     kept = kept[-POOL_CAP_FACTOR * grid.n_points:]
-    joined = (np.concatenate([pool.value, values]), position, variance,
+    # An empty pool or block has no replicate rows: it joins as rows of no data.
+    rows = forecast_est.mean.shape[:-1]
+    value = np.concatenate([v if v.size else np.empty((*rows, 0)) for v in (pool.value, values)],
+                           axis=-1)
+    joined = (value, position, variance,
               np.concatenate([pool.origin_time, np.full(stations.size, now)]),
               np.concatenate([pool.origin_station, stations]))
-    survivors = Pool(now, *(array[kept] for array in joined))
+    survivors = Pool(now, *(array[..., kept] for array in joined))
 
     assembly = rank_order(project(survivors, grid), survivors.value, survivors.variance)
-    estimate = multi_analysis(forecast_est, assembly, factors_out)
+    estimate = multi_analysis(forecast_est, assembly)
     return DlfStepResult(estimate=estimate, pool=survivors, assembly=assembly)

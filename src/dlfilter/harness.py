@@ -25,8 +25,8 @@ import scipy
 from . import __version__
 from .core import GridSpec, NoiseSource, StateEstimate, make_grid
 from .dlf import POOL_CAP_FACTOR, DlfStepResult, LikelihoodAssembly, Pool, dlf_step
-from .kalman import analysis, forecast, update_mean
-from .model import ModelConfig, advect, lax_friedrichs_weights, model_step
+from .kalman import analysis, forecast
+from .model import ModelConfig, lax_friedrichs_weights, model_step
 from .obsnet import (ObservationBatch, build_network, observation_matrix, observations_by_step,
                      sample_observations)
 from .truth import Drift, TruthConfig, TruthField, generate_truth, mean_speed, pulse_profile
@@ -217,10 +217,9 @@ class RunResult:
 
     @cached_property
     def _replay(self) -> tuple[list[StateEstimate], list[StateEstimate]]:
-        # A cell of one into scratch rows; each covariance buffer is reused: keep copies.
+        # Each covariance buffer is reused: keep copies.
         kf, dlf = [], []
-        scratch = np.empty((2, 1, *self.truth.values.shape))
-        for kf_est, dlf_result in _steps([self.config], [self.observations], scratch,
+        for kf_est, dlf_result in _steps(self.config, self.observations,
                                          _run_speeds(self.config)):
             for kept, est in ((kf, kf_est), (dlf, dlf_result.estimate)):
                 kept.append(replace(est, covariance=est.covariance.copy()))
@@ -268,56 +267,39 @@ def _without_seeds(cfg: ScenarioConfig) -> dict:
     return {f.name: getattr(cfg, f.name) for f in fields(cfg) if not f.name.startswith("seed_")}
 
 
-def _steps(cell: typing.Sequence[ScenarioConfig],
-           observations: typing.Sequence[ObservationBatch], means: np.ndarray,
+def _steps(cfg: ScenarioConfig, readings: ObservationBatch,
            speeds: typing.Iterable[np.ndarray]):
-    """Advance the KF and the DLF over one cell of runs.
+    """Advance the KF and the DLF of ``cfg`` on ``readings``.
 
-    ``cell`` is ``[lead, *followers]``: replicate r reads ``observations[r]``
-    and fills ``means[:, r]``, its (KF, DLF) rows of the (2, R, n_steps + 1, N)
-    block ``means``. The station speeds of each step, read in turn from
-    ``speeds`` (see ``_run_speeds``), drive the one model forecast of both
-    filters, which differ only in what they assimilate. The lead steps both filters in full.
-    Yields the lead's ``(kf_estimate, dlf_step_result)`` for steps 0 to
-    n_steps, each once its step's rows are written; step 0 is the initial
-    state, with an empty pool and assembly. The same inputs replay the same
-    steps bit for bit.
+    ``readings`` is one run's batch, or a stack of the (R, n) readings of R
+    runs of configs that differ from ``cfg`` in their seeds only. The station
+    speeds of each step, read in turn from ``speeds`` (see ``_run_speeds``),
+    drive the one model forecast of both filters, which differ only in what
+    they assimilate. Yields ``(kf_estimate, dlf_step_result)`` for steps 0 to
+    n_steps; step 0 is the initial state, with an empty pool and assembly.
+    Each estimate's mean has one row per replicate of a stack. The same
+    inputs replay the same steps bit for bit.
 
-    A follower is the run of a config that differs from the lead's in its
-    seeds only. The scenario is linear and Gaussian, so each filter's gains
-    do not read the data and can be computed before any arrive (Anderson &
-    Moore, *Optimal Filtering*, 1979, §3.1): the covariances, and for the
-    DLF where each pooled datum sits, its variance, what viability sheds
-    and the cap evicts, and which datum wins each station, follow from the
-    config without its seeds. So the followers step each filter's mean by
-    ``advect`` and, when the lead analysed that step, ``update_mean``
-    on their own readings with the lead's stations and factors (L, W); the
-    DLF reads each winning datum at its origin step and station. A follower
-    holds no covariance, and its traces are the lead's. A likelihood that
-    reads the data (a datum variance that depends on the forecast mean, say)
-    breaks this: a config with one must not have followers. A cell of one
-    asks for no factors.
-
-    A step passes the followers' KF and DLF means to ``advect`` as one stack,
-    and one filter's to ``update_mean``. Each row keeps its own BLAS and
-    LAPACK calls, so a follower builds no transition of its own.
+    The scenario is linear and Gaussian, so neither filter's gains read the
+    data (Anderson & Moore, *Optimal Filtering*, 1979, §3.1): the
+    covariances, and for the DLF where each pooled datum sits, its variance,
+    what viability sheds and the cap evicts, and which datum wins each
+    station, follow from the config without its seeds. So the replicates
+    share one covariance and one pool, and only their means and pooled
+    values have a row each. Each row keeps its own BLAS and LAPACK calls, so
+    it equals its own run bit for bit. A likelihood that reads the data (a
+    datum variance that depends on the forecast mean, say) breaks this: a
+    config with one must not be stacked.
 
     Each filter forecasts into its last estimate's covariance buffer, so a
     yielded covariance is valid only until the next step; a consumer that
     keeps one keeps a copy.
     """
-    cfg = cell[0]
-    grid, truth_cfg = cfg.grid, cfg.truth_config
-    fresh_by_step = observations_by_step(observations[0])
+    grid = cfg.grid
+    fresh_by_step = observations_by_step(readings)
     obs_mat = observation_matrix(cfg.network, grid)
     model_cfg = ModelConfig(noise_var=cfg.model_noise_var)
-    # readings[r, t, s]: follower r's reading of station s at step t, nan where none was made
-    readings = np.full((len(cell) - 1, grid.n_steps + 1, grid.n_points), np.nan)
-    for rows, batch in zip(readings, observations[1:]):
-        rows[batch.time_index, batch.station] = batch.value
-
-    start = pulse_profile(grid, cfg.pulse_center)
-    means[:, :, 0] = start
+    start = np.tile(pulse_profile(grid, cfg.pulse_center), (*readings.value.shape[:-1], 1))
     kf_est = StateEstimate(time_index=0, mean=start,
                            covariance=cfg.init_var * np.eye(grid.n_points))
     # The filters own their buffers from here on: the DLF starts on a copy.
@@ -325,35 +307,16 @@ def _steps(cell: typing.Sequence[ScenarioConfig],
                                Pool.empty(time_index=0), LikelihoodAssembly.empty())
     yield kf_est, dlf_result
 
-    lead_kf, lead_dlf = means[:, 0]
-    followers = means[:, 1:]  # (KF, DLF) x follower
     for step, step_speeds in enumerate(speeds, start=1):
         kf_est = forecast(kf_est, grid, model_cfg, step_speeds, out=kf_est.covariance)
         # The DLF forecasts before the KF analysis: rebinding dlf_prior frees the
         # last step's prior before the KF's posterior is allocated.
         dlf_prior = forecast(dlf_result.estimate, grid, model_cfg, step_speeds,
                              out=dlf_result.estimate.covariance)
-
         fresh = fresh_by_step.get(step, [])
-        kf_factors, dlf_factors = ([], []) if len(cell) > 1 else (None, None)
         if fresh:
-            kf_est = analysis(kf_est, fresh, obs_mat, cfg.obs_var, kf_factors)
-        dlf_result = dlf_step(dlf_prior, dlf_result.pool, fresh, grid, truth_cfg, dlf_factors)
-        lead_kf[step], lead_dlf[step] = kf_est.mean, dlf_result.estimate.mean
-
-        if len(cell) > 1:
-            followers[:, :, step] = advect(followers[:, :, step - 1], grid, step_speeds)
-        updates = []
-        if kf_factors:
-            updates.append((followers[0], fresh.station, step, fresh.station, *kf_factors[0]))
-        if dlf_factors:
-            chosen, pool = dlf_result.assembly.selected, dlf_result.pool
-            updates.append((followers[1], dlf_result.assembly.informed_stations,
-                            pool.origin_time[chosen], pool.origin_station[chosen],
-                            *dlf_factors[0]))
-        for mean, stations, times, origins, factor, weights in updates:
-            mean[:, step] = update_mean(mean[:, step], stations, readings[:, times, origins],
-                                        factor, weights)
+            kf_est = analysis(kf_est, fresh, obs_mat, cfg.obs_var)
+        dlf_result = dlf_step(dlf_prior, dlf_result.pool, fresh, grid, cfg.truth_config)
         yield kf_est, dlf_result
 
 
@@ -402,8 +365,8 @@ def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False,
 
     Keeps each step's means and covariance traces, not the covariances.
     ``followers`` are configs that differ from ``cfg`` in their seeds only;
-    their runs step in lockstep behind this one and share its filters'
-    factors (see ``_steps``), and their results are appended to
+    their readings stack under this run's, one row each, and step through
+    the same filter calls (see ``_steps``). Their results are appended to
     ``follower_results``. Each equals ``run_scenario`` of its own config,
     and this run's result is the same with or without followers. ``inputs``
     holds the truths and model-only trajectories that earlier runs made (see
@@ -422,10 +385,14 @@ def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False,
     observations = [sample_observations(truth, c.network, NoiseSource(c.seed_obs),
                                         max_step=c.last_data_step)
                     for c, truth in zip(cell, truths)]
+    first = observations[0]
+    readings = ObservationBatch(first.time_index, first.station,
+                                np.stack([obs.value for obs in observations]), first.variance)
     means = np.empty((2, len(cell), cfg.n_steps + 1, cfg.n_points))
     trace_kf, trace_dlf = np.empty(cfg.n_steps + 1), np.empty(cfg.n_steps + 1)
     pool_trace: list[tuple] | None = [] if collect_pool_trace else None
-    for step, (kf_est, dlf_result) in enumerate(_steps(cell, observations, means, speeds)):
+    for step, (kf_est, dlf_result) in enumerate(_steps(cfg, readings, speeds)):
+        means[:, :, step] = kf_est.mean, dlf_result.estimate.mean
         trace_kf[step], trace_dlf[step] = kf_est.trace, dlf_result.estimate.trace
         if pool_trace is not None:
             pool = dlf_result.pool
@@ -503,9 +470,8 @@ def summarize_cell(cell: list[ScenarioConfig],
                    inputs: _Inputs | None = None) -> list[dict[str, float]]:
     """The summary of each replicate run of one cell of :func:`sweep_configs`.
 
-    The first replicate's run leads and the others follow it in lockstep
-    (see ``run_scenario``, which gets ``inputs``), so each summary is that
-    of ``run_scenario`` of its config.
+    The replicates step as one stack (see ``run_scenario``, which gets
+    ``inputs``), so each summary is that of ``run_scenario`` of its config.
     """
     followers: list[RunResult] = []
     lead = run_scenario(cell[0], followers=cell[1:], follower_results=followers, inputs=inputs)

@@ -43,9 +43,9 @@ def forecast(prev: StateEstimate, grid: GridSpec, model_cfg: ModelConfig,
     """One forecast step of the filter through the Lax-Friedrichs model.
 
     Returns (T m, T P T^T + noise_var * I), the covariance symmetrized, with
-    the mean from :func:`~dlfilter.model.advect`. T has two diagonals, so
-    T P T^T costs O(N^2): :func:`~dlfilter.model.apply_transition` applies T
-    to the rows of P, then to the columns of the result.
+    the mean, one state or a stack, from :func:`~dlfilter.model.advect`. T has
+    two diagonals, so T P T^T costs O(N^2): :func:`~dlfilter.model.apply_transition`
+    applies T to the rows of P, then to the columns of the result.
 
     The covariance is written to ``out`` (a new array if None). ``out`` may
     be ``prev.covariance`` itself: P is read in full before ``out`` is
@@ -111,27 +111,24 @@ def update_mean(mean: np.ndarray, stations: np.ndarray, values, factor: np.ndarr
 
 
 def condition(mean: np.ndarray, cov: np.ndarray, stations, values, variances,
-              time_index: int | None = None,
-              factors_out: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+              time_index: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Condition N(mean, cov) on independent direct readings of some stations.
 
-    Reading k is ``values[k]`` of station ``stations[k]`` with noise variance
-    ``variances[k]`` (or one scalar for all). With L the Cholesky factor of
-    P[S, S] + diag(r) and W = L^-1 P[S, :], the posterior is
+    Reading k is ``values[..., k]`` of station ``stations[k]`` with noise
+    variance ``variances[k]`` (or one scalar for all). With L the Cholesky
+    factor of P[S, S] + diag(r) and W = L^-1 P[S, :], the posterior is
 
         mean + W^T L^-1 (y - mean[S]),   P - W^T W,
 
-    in O(N^2 k). ``W.T @ W`` is a symmetric rank-k product, so the posterior
-    covariance is exactly symmetric whenever P is (factorized update, after
-    Bierman 1977). Both results are new arrays. ``time_index`` only labels a
-    failed factorization. A ``factors_out`` list gets (L, W) appended, L new
-    and W copied out of the workspace in its memory layout, so
-    :func:`update_mean` repeats this posterior mean from them bit for bit.
+    in O(N^2 k). ``mean`` (..., N) and ``values`` (..., k) may be stacks of
+    replicates: the gain does not read the data, so one factorization serves
+    every row, and :func:`update_mean` gives each row its own solve. ``W.T @ W``
+    is a symmetric rank-k product, so the posterior covariance is exactly
+    symmetric whenever P is (factorized update, after Bierman 1977). Both
+    results are new arrays. ``time_index`` only labels a failed factorization.
     """
     stations = np.asarray(stations, dtype=np.int64)
     factor, weights = _whiten(cov, stations, variances, time_index)
-    if factors_out is not None:
-        factors_out.append((factor, weights.copy(order="K")))
     post_mean = update_mean(mean, stations, values, factor, weights)
     product = np.matmul(weights.T, weights, out=_workspace(1, cov.shape))
     return post_mean, np.subtract(cov, product)
@@ -147,20 +144,19 @@ def gain_columns(cov: np.ndarray, stations, variances) -> np.ndarray:
 
 
 def analysis(forecast_est: StateEstimate, obs_block: ObservationBatch | list[Observation],
-             obs_matrix: np.ndarray, obs_var: float,
-             factors_out: list | None = None) -> StateEstimate:
+             obs_matrix: np.ndarray, obs_var: float) -> StateEstimate:
     """Condition the forecast on a block of same-time observations.
 
     The block is read by :func:`~dlfilter.obsnet.read_block`, and each
     reading must carry ``obs_var``. ``obs_matrix`` must be exactly the 0/1
     selector H whose rows pick the observed stations, one per observation in
     block order; any other matrix raises. The update itself runs through
-    :func:`condition`, which gets ``factors_out``. An empty block returns the
-    forecast unchanged.
+    :func:`condition`; a stacked forecast mean reads a stacked batch, one row
+    per replicate. An empty block returns the forecast unchanged.
     """
     if not obs_block:
         return forecast_est
-    n_state = forecast_est.mean.shape[0]
+    n_state = forecast_est.covariance.shape[0]
     values, stations, variances = read_block(obs_block, forecast_est.time_index, n_state)
     if (variances != obs_var).any():
         raise ValueError(f"observation variance differs from obs_var = {obs_var}")
@@ -170,5 +166,5 @@ def analysis(forecast_est: StateEstimate, obs_block: ObservationBatch | list[Obs
         raise ValueError("observation matrix is not the selector of the block's stations")
 
     mean, cov = condition(forecast_est.mean, forecast_est.covariance, stations, values,
-                          obs_var, time_index=forecast_est.time_index, factors_out=factors_out)
+                          obs_var, time_index=forecast_est.time_index)
     return StateEstimate(time_index=forecast_est.time_index, mean=mean, covariance=cov)

@@ -83,10 +83,13 @@ def build_network(grid: GridSpec, xi, tau, noise_var: float) -> ObsNetwork:
 @dataclass(frozen=True, eq=False)
 class ObservationBatch:
     """A run's readings as arrays, in acquisition order: entry i is the reading
-    of ``station[i]`` at step ``time_index[i]``, of value ``value[i]``.
+    of ``station[i]`` at step ``time_index[i]``, of value ``value[..., i]``.
 
-    Every reading carries the network's ``variance``. Iterating the batch
-    yields each reading as an :class:`Observation`.
+    ``value`` is one run's readings (n,) or a stack (R, n) of R replicates'
+    readings at the same steps and stations, one row each. Every reading
+    carries the network's ``variance``. ``len()`` counts one replicate's
+    readings. Iterating a run's batch yields each reading as an
+    :class:`Observation`; iterating a stack raises ``TypeError``.
     """
 
     time_index: np.ndarray
@@ -97,15 +100,22 @@ class ObservationBatch:
     def __post_init__(self):
         if self.variance <= 0:
             raise ValueError("observation variance must be positive")
+        if not self.time_index.shape == self.station.shape == self.value.shape[-1:]:
+            raise ValueError(f"a batch needs one time index, station and value per reading: got "
+                             f"shapes {self.time_index.shape}, {self.station.shape} and "
+                             f"{self.value.shape}")
 
     def __len__(self) -> int:
-        return self.value.size
+        return self.station.size
 
     def __iter__(self) -> typing.Iterator[Observation]:
-        for time_index, station, value in zip(self.time_index.tolist(), self.station.tolist(),
-                                              self.value.tolist()):
-            yield Observation(value=value, station=station, time_index=time_index,
-                              variance=self.variance)
+        if self.value.ndim != 1:
+            raise TypeError(f"a stack of {self.value.shape[0]} replicates' readings yields "
+                            f"no single Observation")
+        return (Observation(value=value, station=station, time_index=time_index,
+                            variance=self.variance)
+                for time_index, station, value in zip(self.time_index.tolist(),
+                                                      self.station.tolist(), self.value.tolist()))
 
 
 def sample_observations(truth: TruthField, net: ObsNetwork, src: NoiseSource,
@@ -142,7 +152,7 @@ def observations_by_step(observations: ObservationBatch) -> dict[int, Observatio
         raise ValueError("observations are not in acquisition order")
     cuts = [0, *(np.flatnonzero(np.diff(steps)) + 1).tolist(), steps.size]
     return {int(steps[a]): ObservationBatch(steps[a:b], observations.station[a:b],
-                                            observations.value[a:b], observations.variance)
+                                            observations.value[..., a:b], observations.variance)
             for a, b in zip(cuts, cuts[1:]) if b > a}
 
 
@@ -150,10 +160,11 @@ def read_block(block: ObservationBatch | list[Observation], time_index: int,
                n_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The values, stations and variances of a block of readings, a batch or a
     list, each of which must be taken at step ``time_index`` and at a station
-    of a grid of ``n_points``."""
+    of a grid of ``n_points``. A stacked batch gives one row of values per
+    replicate."""
     if isinstance(block, ObservationBatch):
         times, stations, values = block.time_index, block.station, block.value
-        variances = np.full(values.size, block.variance)
+        variances = np.full(stations.size, block.variance)
     else:
         times = np.array([obs.time_index for obs in block], dtype=np.int64)
         stations = np.array([obs.station for obs in block], dtype=np.int64)

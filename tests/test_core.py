@@ -122,6 +122,14 @@ def test_state_estimate_accepts_zero_covariance():
     assert est.trace == 0.0
 
 
+def test_state_estimate_takes_a_stack_of_means_over_one_covariance():
+    est = StateEstimate(0, np.ones((4, 3)), np.eye(3))
+    assert est.mean.shape == (4, 3) and est.trace == 3.0
+    for mean in (np.ones((4, 2)), np.ones((3, 4)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="shapes inconsistent"):
+            StateEstimate(0, mean, np.eye(3))
+
+
 def full_scan_verdict(cov):
     """The covariance check as a full scan: True when the matrix is accepted."""
     scale = max(1.0, float(np.abs(cov).max()) if cov.size else 1.0)

@@ -58,6 +58,18 @@ def test_pool_rejects_invalid_entries():
              origin_station=[0])
 
 
+def test_a_pool_takes_one_row_of_values_per_replicate():
+    pool = Pool(1, value=[[1.0, 2.0]] * 3, position=[0.5, 0.7], variance=[0.02, 0.03],
+                origin_time=[0, 1], origin_station=[3, 4])
+    assert len(pool) == 2 and pool.value.shape == (3, 2)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        Pool(1, value=[[1.0, 2.0]] * 3, position=[0.5], variance=[0.02], origin_time=[0],
+             origin_station=[3])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        Pool(1, value=[1.0, 2.0], position=[[0.5, 0.7]], variance=[0.02, 0.03],
+             origin_time=[0, 1], origin_station=[3, 4])
+
+
 # --- datum transport -------------------------------------------------------------
 
 def test_propagation_constant_advection():

@@ -17,6 +17,7 @@ from dlfilter.harness import (ScenarioConfig, _write_table, center_of_mass, circ
                               config_from_flat, config_to_flat, default_config,
                               load_config, load_run, read_table, run_scenario, summarize_cell,
                               summarize_run, sweep, sweep_configs, write_outputs, write_sweep_csv)
+from dlfilter.obsnet import ObservationBatch
 from dlfilter.truth import Drift, mean_speed, pulse_profile
 
 
@@ -485,9 +486,8 @@ def test_a_cell_refuses_a_follower_that_differs_beyond_its_seeds():
 def test_a_pool_names_the_observation_each_datum_came_from():
     result = run_scenario(small_cfg())
     readings = {(o.time_index, o.station): o.value for o in result.observations}
-    scratch = np.empty((2, 1, *result.truth.values.shape))
     pools = 0
-    for _, dlf_result in harness._steps([result.config], [result.observations], scratch,
+    for _, dlf_result in harness._steps(result.config, result.observations,
                                         harness._run_speeds(result.config)):
         pool = dlf_result.pool
         pools += len(pool) > 0
@@ -506,40 +506,60 @@ def peak_bytes(fn) -> int:
         tracemalloc.stop()
 
 
-def test_a_cell_of_one_asks_for_no_factors(monkeypatch):
-    asked = []
-    for name in ("analysis", "dlf_step"):
-        original = getattr(harness, name)
-        monkeypatch.setattr(harness, name, lambda *args, original=original: (
-            asked.append(args[-1]) or original(*args)))
-    sweep(sweep_configs(small_cfg(), [Fraction(1), Fraction(1, 5)], [Fraction(1, 5)], 1))
-    assert asked and all(factors is None for factors in asked)
-    asked.clear()
-    sweep(sweep_configs(small_cfg(), [Fraction(1, 5)], [Fraction(1, 5)], 2))
-    assert asked and all(factors is not None for factors in asked)
-
-
 def test_a_cell_step_builds_one_transition_for_all_its_followers(monkeypatch):
-    # The model-only rows, the lead's two forecasts and the followers' means each
-    # build one transition per step; every follower shares one update per analysis.
-    builds, updates = [], []
+    # The model-only rows and each filter's forecast build one transition per step
+    # for the whole stack; every replicate shares one mean update per analysis.
+    builds, updates, factorizations = [], [], []
     monkeypatch.setattr(model, "lax_friedrichs_matrix", lambda *args, build=(
         model.lax_friedrichs_matrix): builds.append(1) or build(*args))
-    for module in (harness, kalman):
-        monkeypatch.setattr(module, "update_mean", lambda *args, name=module.__name__, update=(
-            module.update_mean): updates.append(name) or update(*args))
+    monkeypatch.setattr(kalman, "update_mean", lambda *args, update=kalman.update_mean: (
+        updates.append(1) or update(*args)))
+    monkeypatch.setattr(kalman, "_whiten", lambda *args, whiten=kalman._whiten: (
+        factorizations.append(1) or whiten(*args)))
     cfg = small_cfg()
-    per_step, follower_updates = {}, {}
+    per_step, per_cell = {}, {}
     for replicates in (1, 2, 5):
-        builds.clear()
-        updates.clear()
+        for calls in (builds, updates, factorizations):
+            calls.clear()
         summarize_cell(sweep_configs(cfg, [cfg.space_freq], [cfg.time_freq], replicates)[0])
         per_step[replicates] = len(builds) / cfg.n_steps
-        follower_updates[replicates] = updates.count("dlfilter.harness")
-        lead_updates = updates.count("dlfilter.kalman")  # one per analysis of the lead
-    assert per_step == {1: 3, 2: 4, 5: 4}
-    assert lead_updates > 0
-    assert follower_updates == {1: 0, 2: lead_updates, 5: lead_updates}
+        assert len(updates) == len(factorizations) > 0
+        per_cell[replicates] = len(updates)
+    assert per_step == {1: 3, 2: 3, 5: 3}
+    assert per_cell[2] == per_cell[5] == per_cell[1]
+
+
+@pytest.mark.parametrize("time_freq", [Fraction(1), Fraction(1, 5)])
+def test_a_stacked_batch_steps_each_replicate_as_its_own_run(time_freq):
+    # At tau = 1 the first step joins fresh readings to the empty pool; at tau = 1/5
+    # steps 1-4 have no fresh readings, the first of them joining the empty pool too.
+    cfg = small_cfg(time_freq=time_freq)
+    cell = sweep_configs(cfg, [cfg.space_freq], [cfg.time_freq], 3)[0]
+    batches = [run_scenario(c).observations for c in cell]
+    stacked = ObservationBatch(batches[0].time_index, batches[0].station,
+                               np.stack([batch.value for batch in batches]), cfg.obs_var)
+    runs = [harness._steps(c, batch, harness._run_speeds(c)) for c, batch in zip(cell, batches)]
+    fresh_steps = set(batches[0].time_index.tolist())
+    for step, ((kf_est, dlf_result), *own) in enumerate(
+            zip(harness._steps(cfg, stacked, harness._run_speeds(cfg)), *runs)):
+        pool, assembly = dlf_result.pool, dlf_result.assembly
+        assert dlf_result.estimate.mean.shape == kf_est.mean.shape == (3, cfg.n_points)
+        if step > 0:  # the initial pool is empty and has no rows
+            assert pool.value.shape == (3, len(pool))
+            assert assembly.projected_values.shape == (3, len(assembly))
+        for r, (own_kf, own_dlf) in enumerate(own):
+            for stacked_est, own_est in ((kf_est, own_kf), (dlf_result.estimate, own_dlf.estimate)):
+                assert np.array_equal(stacked_est.mean[r], own_est.mean)
+                assert np.array_equal(stacked_est.covariance, own_est.covariance)
+            for name in ("position", "variance", "origin_time", "origin_station"):
+                assert np.array_equal(getattr(pool, name), getattr(own_dlf.pool, name)), name
+            assert np.array_equal(assembly.selected, own_dlf.assembly.selected)
+            if step > 0:
+                assert np.array_equal(pool.value[r], own_dlf.pool.value)
+                assert np.array_equal(assembly.projected_values[r],
+                                      own_dlf.assembly.projected_values)
+    assert step == cfg.n_steps
+    assert (1 in fresh_steps) == (time_freq == 1)
 
 
 # The benchmark's grid-n400 cell, shortened: about 100 stations are informed per step.
@@ -558,8 +578,7 @@ def sweep_peak_above_a_run(cfg, replicates: int) -> float:
 
 def test_a_sweep_holds_one_steps_factors_and_its_followers_runs():
     # Kept for the whole run, one step's factors per step would be ~16 N x N matrices.
-    # The follower keeps its per-step arrays, and the lead one step's factors
-    # of each filter, at most 2 N x N each.
+    # The second replicate adds its per-step arrays and one mean row per filter.
     assert sweep_peak_above_a_run(GRID_CELL_CFG, 2) < 6
 
 

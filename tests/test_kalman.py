@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dlfilter import kalman
 from dlfilter.checks import condition_on_stations
 from dlfilter.core import NoiseSource, StateEstimate, make_grid
 from dlfilter.kalman import (FilterError, analysis, condition, forecast, gain_columns,
@@ -198,25 +199,16 @@ def test_condition_matches_condition_on_stations():
 def test_kept_factors_repeat_the_posterior_mean_bit_for_bit(n, k):
     rng = np.random.default_rng(n + k)
     cov = random_spd(rng, n)
-    mean = rng.standard_normal(n)
     stations = rng.choice(n, size=k, replace=False)
-    values = rng.standard_normal(k)
-    factors = []
-    post_mean, post_cov = condition(mean, cov, stations, values, 0.02, factors_out=factors)
-    plain_mean, plain_cov = condition(mean, cov, stations, values, 0.02)
-    np.testing.assert_array_equal(post_mean, plain_mean)
-    np.testing.assert_array_equal(post_cov, plain_cov)
-    (factor, weights), = factors
-    assert factor.shape == (k, k) and weights.shape == (k, n)
-    condition(rng.standard_normal(n), random_spd(rng, n), stations, values, 0.5)  # reuses the workspace
-    assert np.array_equal(update_mean(mean, stations, values, factor, weights), post_mean)
-    # A stack of means (strided rows) and their readings shares the factors row by row.
+    # A stack of means (strided rows) and their readings shares one factorization.
     means = rng.standard_normal((5, 3, n))[:, 1]
     readings = rng.standard_normal((5, k))
-    stacked = update_mean(means, stations, readings, factor, weights)
-    assert stacked.shape == means.shape
-    for row_mean, row_values, row_post in zip(means, readings, stacked):
-        assert np.array_equal(row_post, condition(row_mean, cov, stations, row_values, 0.02)[0])
+    post_means, post_cov = condition(means, cov, stations, readings, 0.02)
+    assert post_means.shape == means.shape
+    for row_mean, row_values, row_post in zip(means, readings, post_means):
+        own_mean, own_cov = condition(row_mean.copy(), cov, stations, row_values, 0.02)
+        assert np.array_equal(row_post, own_mean)
+        assert np.array_equal(post_cov, own_cov)
 
 
 def test_update_mean_refuses_a_nan_reading_and_a_singular_factor():
@@ -224,10 +216,7 @@ def test_update_mean_refuses_a_nan_reading_and_a_singular_factor():
     n, k = 50, 13
     cov = random_spd(rng, n)
     stations = rng.choice(n, size=k, replace=False)
-    factors = []
-    condition(rng.standard_normal(n), cov, stations, rng.standard_normal(k), 0.02,
-              factors_out=factors)
-    (factor, weights), = factors
+    factor, weights = kalman._whiten(cov, stations, 0.02, None)
     means, readings = rng.standard_normal((4, n)), rng.standard_normal((4, k))
     readings[2, 5] = np.nan
     with pytest.raises(ValueError, match="infs or NaNs"):

@@ -161,7 +161,7 @@ def test_model_step_of_a_stack_equals_its_rows_bit_for_bit(drift, n):
 @pytest.mark.parametrize("n", [50, 400])
 def test_advect_of_a_stack_equals_its_rows_bit_for_bit(drift, n):
     grid, speeds = scenario_speeds(drift, n, step=41)
-    # A (filter, replicate, N) stack of strided rows, as the followers' means sit in a run.
+    # A (filter, replicate, N) stack of strided rows.
     stack = np.random.default_rng(n).standard_normal((2, 4, 3, n))[:, :, 1]
     advected = advect(stack, grid, speeds)
     assert advected.shape == stack.shape

@@ -173,6 +173,26 @@ def test_group_by_step_preserves_station_order():
         observations_by_step(backwards)
 
 
+def test_a_stacked_batch_counts_one_replicates_readings_and_yields_no_observation():
+    grid = grid_for()
+    net = build_network(grid, Fraction(1, 5), Fraction(1, 10), 0.02)
+    batches = [sample_observations(truth_for(grid), net, NoiseSource(seed)) for seed in range(3)]
+    stacked = ObservationBatch(batches[0].time_index, batches[0].station,
+                               np.stack([batch.value for batch in batches]), 0.02)
+    assert len(stacked) == len(batches[0]) == 10 * 4  # 10 stations at steps 10 to 40
+    with pytest.raises(TypeError, match="no single Observation"):
+        iter(stacked)
+    for step, block in observations_by_step(stacked).items():
+        values, stations, variances = read_block(block, step, grid.n_points)
+        assert values.shape == (3, 10) and stations.shape == variances.shape == (10,)
+        for row, batch in zip(values, batches):
+            own_values, own_stations, own_variances = read_block(
+                observations_by_step(batch)[step], step, grid.n_points)
+            np.testing.assert_array_equal(row, own_values)
+            np.testing.assert_array_equal(stations, own_stations)
+            np.testing.assert_array_equal(variances, own_variances)
+
+
 def test_observations_roundtrip_csv(tmp_path):
     cfg = default_config("accelerating", n_steps=40, space_freq=Fraction(1, 5),
                          time_freq=Fraction(1, 10), seed_obs=31)
@@ -191,3 +211,12 @@ def test_observation_requires_positive_variance():
         Observation(value=1.0, station=0, time_index=1, variance=0.0)
     with pytest.raises(ValueError):
         ObservationBatch(np.array([1]), np.array([0]), np.array([1.0]), variance=0.0)
+
+
+def test_a_batch_refuses_arrays_of_different_lengths():
+    one, two = np.array([1]), np.array([1, 1])
+    for times, stations, values in ((two, two, np.ones(1)), (two, one, np.ones(2)),
+                                    (one, one, np.ones((3, 2))), (one, one, np.float64(1.0))):
+        with pytest.raises(ValueError, match="one time index, station and value per reading"):
+            ObservationBatch(times, stations, values, 0.02)
+    assert len(ObservationBatch(two, two, np.ones((3, 2)), 0.02)) == 2
