@@ -83,12 +83,18 @@ class StateEstimate:
             raise ValueError(f"mean/covariance shapes inconsistent: {mean.shape} vs {cov.shape}")
         # The filters build exactly symmetric covariances, which skip the
         # tolerance scan; the scale is computed only when a test needs it.
+        # Both tests are written to fail on NaN, which never equals itself.
         if not np.array_equal(cov, cov.T):
-            if float(np.abs(cov - cov.T).max()) > SYMMETRY_RTOL * _scale(cov):
-                raise ValueError("covariance is not symmetric within tolerance")
-        low = float(np.diag(cov).min())
-        if low < 0 and low < -SYMMETRY_RTOL * _scale(cov):
+            err = float(np.abs(cov - cov.T).max())
+            if not err <= SYMMETRY_RTOL * _scale(cov):
+                raise ValueError(f"covariance is not symmetric within tolerance "
+                                 f"(max |P - P^T| = {err:.3g})")
+        diagonal = np.diag(cov)
+        low = float(diagonal.min())
+        if not (low >= 0 or low >= -SYMMETRY_RTOL * _scale(cov)):
             raise ValueError("covariance has a negative diagonal entry")
+        if not np.isfinite(diagonal).all():
+            raise ValueError("covariance has an infinite diagonal entry")
 
     @property
     def trace(self) -> float:

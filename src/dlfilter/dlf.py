@@ -179,23 +179,27 @@ def rank_order(stations: np.ndarray, values: np.ndarray,
                               selected=selected)
 
 
-def multi_analysis(forecast_est: StateEstimate, assembly: LikelihoodAssembly) -> StateEstimate:
+def multi_analysis(forecast_est: StateEstimate, assembly: LikelihoodAssembly,
+                   out: np.ndarray | None = None) -> StateEstimate:
     """Condition the forecast on the assembled per-station data.
 
     Each informed station is read directly at its winning datum's variance;
-    uninformed stations carry no reading (the infinite-variance limit). An
-    empty assembly leaves the forecast untouched.
+    uninformed stations carry no reading (the infinite-variance limit). The
+    posterior covariance goes to ``out`` as in :func:`~dlfilter.kalman.condition`.
+    An empty assembly leaves the forecast untouched.
     """
     if len(assembly) == 0:
         return forecast_est
     mean, cov = condition(forecast_est.mean, forecast_est.covariance,
                           assembly.informed_stations, assembly.projected_values,
-                          assembly.projected_variances, time_index=forecast_est.time_index)
+                          assembly.projected_variances, time_index=forecast_est.time_index,
+                          out=out)
     return StateEstimate(time_index=forecast_est.time_index, mean=mean, covariance=cov)
 
 
 def dlf_step(forecast_est: StateEstimate, pool: Pool, fresh: ObservationBatch | list[Observation],
-             grid: GridSpec, truth_cfg: TruthConfig) -> DlfStepResult:
+             grid: GridSpec, truth_cfg: TruthConfig,
+             out: np.ndarray | None = None) -> DlfStepResult:
     """Assimilate the pool and fresh data into one step's model forecast.
 
     The pool's positions and variances are advanced to the forecast's time,
@@ -204,7 +208,8 @@ def dlf_step(forecast_est: StateEstimate, pool: Pool, fresh: ObservationBatch | 
     new pool, projected and rank-ordered into the assembly used by the
     multi-analysis; the assembly's ``selected`` indexes them. A stacked
     forecast mean takes a stacked pool and block, one row of values per
-    replicate.
+    replicate. The posterior covariance goes to ``out`` (see
+    :func:`multi_analysis`).
     """
     now = forecast_est.time_index
     if pool.time_index + 1 != now:
@@ -226,5 +231,5 @@ def dlf_step(forecast_est: StateEstimate, pool: Pool, fresh: ObservationBatch | 
     survivors = Pool(now, *(array[..., kept] for array in joined))
 
     assembly = rank_order(project(survivors, grid), survivors.value, survivors.variance)
-    estimate = multi_analysis(forecast_est, assembly)
+    estimate = multi_analysis(forecast_est, assembly, out=out)
     return DlfStepResult(estimate=estimate, pool=survivors, assembly=assembly)

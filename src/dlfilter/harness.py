@@ -291,9 +291,10 @@ def _steps(cfg: ScenarioConfig, readings: ObservationBatch,
     datum variance that depends on the forecast mean, say) breaks this: a
     config with one must not be stacked.
 
-    Each filter forecasts into its last estimate's covariance buffer, so a
-    yielded covariance is valid only until the next step; a consumer that
-    keeps one keeps a copy.
+    Each filter keeps one covariance buffer for the whole run: it forecasts
+    into its last estimate's covariance and conditions the forecast in place.
+    So a yielded covariance is valid only until the next step; a consumer
+    that keeps one keeps a copy.
     """
     grid = cfg.grid
     fresh_by_step = observations_by_step(readings)
@@ -309,14 +310,13 @@ def _steps(cfg: ScenarioConfig, readings: ObservationBatch,
 
     for step, step_speeds in enumerate(speeds, start=1):
         kf_est = forecast(kf_est, grid, model_cfg, step_speeds, out=kf_est.covariance)
-        # The DLF forecasts before the KF analysis: rebinding dlf_prior frees the
-        # last step's prior before the KF's posterior is allocated.
         dlf_prior = forecast(dlf_result.estimate, grid, model_cfg, step_speeds,
                              out=dlf_result.estimate.covariance)
         fresh = fresh_by_step.get(step, [])
         if fresh:
-            kf_est = analysis(kf_est, fresh, obs_mat, cfg.obs_var)
-        dlf_result = dlf_step(dlf_prior, dlf_result.pool, fresh, grid, cfg.truth_config)
+            kf_est = analysis(kf_est, fresh, obs_mat, cfg.obs_var, out=kf_est.covariance)
+        dlf_result = dlf_step(dlf_prior, dlf_result.pool, fresh, grid, cfg.truth_config,
+                              out=dlf_prior.covariance)
         yield kf_est, dlf_result
 
 

@@ -69,21 +69,26 @@ def _whiten(cov: np.ndarray, stations: np.ndarray, variances,
     """Cholesky factor L of P[S, S] + diag(r), and W = L^-1 P[S, :].
 
     P must be symmetric: P[S, :] is read as the transpose of the gathered
-    columns P[:, S]. W is a (k, N) view of workspace slot 0.
+    columns P[:, S]. W is a (k, N) view of workspace slot 0. Non-finite
+    columns or variances raise ``ValueError`` before any LAPACK call, as
+    scipy's ``check_finite`` would.
     """
     if stations.size == 0:
         raise ValueError("conditioning needs at least one reading")
     columns = np.take(cov, stations, axis=1, out=_workspace(0, (cov.shape[0], stations.size)))
+    if not (np.isfinite(columns).all() and np.isfinite(variances).all()):
+        raise ValueError("array must not contain infs or NaNs")
     restricted = columns[stations]
     restricted.flat[::stations.size + 1] += variances  # the diagonal
-    try:
-        factor = scipy.linalg.cholesky(restricted, lower=True, overwrite_a=True)
-    except np.linalg.LinAlgError as exc:
+    # The block is exactly symmetric, so its Fortran-ordered transpose is the
+    # same matrix and potrf factors it in place.
+    factor, info = scipy.linalg.lapack.dpotrf(restricted.T, lower=1, overwrite_a=1)
+    if info > 0:
         where = "" if time_index is None else f" at time index {time_index}"
-        raise FilterError(f"innovation covariance not positive definite{where}") from exc
+        raise FilterError(f"innovation covariance not positive definite{where}")
     # columns.T is Fortran-ordered, so the solve runs in place in the workspace.
-    return factor, scipy.linalg.solve_triangular(factor, columns.T, lower=True,
-                                                 overwrite_b=True)
+    # A factor from potrf has a positive diagonal, so trtrs cannot fail.
+    return factor, scipy.linalg.lapack.dtrtrs(factor, columns.T, lower=1, overwrite_b=1)[0]
 
 
 def update_mean(mean: np.ndarray, stations: np.ndarray, values, factor: np.ndarray,
@@ -111,7 +116,8 @@ def update_mean(mean: np.ndarray, stations: np.ndarray, values, factor: np.ndarr
 
 
 def condition(mean: np.ndarray, cov: np.ndarray, stations, values, variances,
-              time_index: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+              time_index: int | None = None,
+              out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Condition N(mean, cov) on independent direct readings of some stations.
 
     Reading k is ``values[..., k]`` of station ``stations[k]`` with noise
@@ -124,14 +130,17 @@ def condition(mean: np.ndarray, cov: np.ndarray, stations, values, variances,
     replicates: the gain does not read the data, so one factorization serves
     every row, and :func:`update_mean` gives each row its own solve. ``W.T @ W``
     is a symmetric rank-k product, so the posterior covariance is exactly
-    symmetric whenever P is (factorized update, after Bierman 1977). Both
-    results are new arrays. ``time_index`` only labels a failed factorization.
+    symmetric whenever P is (factorized update, after Bierman 1977). The mean
+    is a new array; the covariance is written to ``out`` (a new array if
+    None), which may be ``cov`` itself: a caller done with the prior can
+    condition into its buffer. ``time_index`` only labels a failed
+    factorization.
     """
     stations = np.asarray(stations, dtype=np.int64)
     factor, weights = _whiten(cov, stations, variances, time_index)
     post_mean = update_mean(mean, stations, values, factor, weights)
     product = np.matmul(weights.T, weights, out=_workspace(1, cov.shape))
-    return post_mean, np.subtract(cov, product)
+    return post_mean, np.subtract(cov, product, out=out)
 
 
 def gain_columns(cov: np.ndarray, stations, variances) -> np.ndarray:
@@ -140,11 +149,12 @@ def gain_columns(cov: np.ndarray, stations, variances) -> np.ndarray:
     Shape (n_state, k): the nonzero columns of the Kalman gain, for scoring.
     """
     factor, weights = _whiten(cov, np.asarray(stations, dtype=np.int64), variances, None)
-    return scipy.linalg.solve_triangular(factor, weights, lower=True, trans="T").T
+    return scipy.linalg.lapack.dtrtrs(factor, weights, lower=1, trans=1)[0].T
 
 
 def analysis(forecast_est: StateEstimate, obs_block: ObservationBatch | list[Observation],
-             obs_matrix: np.ndarray, obs_var: float) -> StateEstimate:
+             obs_matrix: np.ndarray, obs_var: float,
+             out: np.ndarray | None = None) -> StateEstimate:
     """Condition the forecast on a block of same-time observations.
 
     The block is read by :func:`~dlfilter.obsnet.read_block`, and each
@@ -152,7 +162,8 @@ def analysis(forecast_est: StateEstimate, obs_block: ObservationBatch | list[Obs
     selector H whose rows pick the observed stations, one per observation in
     block order; any other matrix raises. The update itself runs through
     :func:`condition`; a stacked forecast mean reads a stacked batch, one row
-    per replicate. An empty block returns the forecast unchanged.
+    per replicate. The posterior covariance goes to ``out`` as in
+    :func:`condition`. An empty block returns the forecast unchanged.
     """
     if not obs_block:
         return forecast_est
@@ -166,5 +177,5 @@ def analysis(forecast_est: StateEstimate, obs_block: ObservationBatch | list[Obs
         raise ValueError("observation matrix is not the selector of the block's stations")
 
     mean, cov = condition(forecast_est.mean, forecast_est.covariance, stations, values,
-                          obs_var, time_index=forecast_est.time_index)
+                          obs_var, time_index=forecast_est.time_index, out=out)
     return StateEstimate(time_index=forecast_est.time_index, mean=mean, covariance=cov)

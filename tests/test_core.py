@@ -117,6 +117,21 @@ def test_state_estimate_validates_diagonal():
         StateEstimate(0, np.zeros(2), cov)
 
 
+def test_state_estimate_refuses_a_nan_off_diagonal_pair():
+    # Symmetric as a pattern, but NaN != NaN: the trace alone would read 3.0.
+    cov = np.eye(3)
+    cov[0, 2] = cov[2, 0] = np.nan
+    with pytest.raises(ValueError, match="not symmetric"):
+        StateEstimate(0, np.zeros(3), cov)
+
+
+def test_state_estimate_refuses_a_nan_diagonal_entry():
+    cov = np.eye(3)
+    cov[1, 1] = np.nan
+    with pytest.raises(ValueError):
+        StateEstimate(0, np.zeros(3), cov)
+
+
 def test_state_estimate_accepts_zero_covariance():
     est = StateEstimate(0, np.ones(3), np.zeros((3, 3)))
     assert est.trace == 0.0
@@ -131,12 +146,14 @@ def test_state_estimate_takes_a_stack_of_means_over_one_covariance():
 
 
 def full_scan_verdict(cov):
-    """The covariance check as a full scan: True when the matrix is accepted."""
+    """The covariance check as a full scan: True when the matrix is accepted.
+
+    Each test accepts only when its comparison holds, so a NaN fails it."""
     scale = max(1.0, float(np.abs(cov).max()) if cov.size else 1.0)
     with np.errstate(invalid="ignore"):  # inf - inf in the symmetry residual
-        if float(np.abs(cov - cov.T).max()) > SYMMETRY_RTOL * scale:
+        if not float(np.abs(cov - cov.T).max()) <= SYMMETRY_RTOL * scale:
             return False
-    return not float(np.diag(cov).min()) < -SYMMETRY_RTOL * scale
+    return float(np.diag(cov).min()) >= -SYMMETRY_RTOL * scale
 
 
 def test_state_estimate_check_keeps_the_full_scan_verdicts():

@@ -351,6 +351,8 @@ def test_multi_gain_rejects_empty_assembly():
 def test_multi_analysis_empty_assembly_returns_forecast():
     est = StateEstimate(2, np.ones(5), np.eye(5))
     assert multi_analysis(est, rank_order([], [], [])) is est
+    assert multi_analysis(est, rank_order([], [], []), out=est.covariance) is est
+    assert np.array_equal(est.covariance, np.eye(5))
 
 
 def test_multi_analysis_per_station_scalar_updates():
@@ -451,6 +453,33 @@ def test_dlf_step_without_data_returns_the_forecast_it_was_given():
     np.testing.assert_array_equal(result.estimate.covariance, forecast_est.covariance)
     assert len(result.assembly) == 0
     assert len(result.pool) == 0 and result.pool.time_index == 7
+
+
+def test_dlf_step_without_data_leaves_the_out_buffer_untouched():
+    rng = np.random.default_rng(4)
+    forecast_est = StateEstimate(7, rng.standard_normal(50), random_spd(rng, 50))
+    kept = forecast_est.covariance.copy()
+    result = dlf_step(forecast_est, Pool.empty(6), [], grid_for(), flow_cfg(),
+                      out=forecast_est.covariance)
+    assert result.estimate is forecast_est
+    assert np.array_equal(forecast_est.covariance, kept)
+
+
+def test_dlf_step_into_the_prior_equals_the_fresh_posterior_bit_for_bit():
+    rng = np.random.default_rng(5)
+    grid, cfg = grid_for(), flow_cfg()
+    stations = np.arange(0, 50, 5)
+    fresh = ObservationBatch(time_index=np.full(10, 7), station=stations,
+                             value=rng.standard_normal((3, 10)), variance=0.02)
+    pool = Pool(6, rng.standard_normal((3, 4)), [0.13, 0.71, 1.02, 1.9], [0.01] * 4,
+                [2, 3, 5, 6], [1, 2, 3, 4])
+    forecast_est = StateEstimate(7, rng.standard_normal((3, 50)), random_spd(rng, 50))
+    expected = dlf_step(forecast_est, pool, fresh, grid, cfg).estimate
+    result = dlf_step(forecast_est, pool, fresh, grid, cfg, out=forecast_est.covariance)
+    assert len(result.assembly) > 10
+    assert result.estimate.covariance is forecast_est.covariance
+    assert np.array_equal(result.estimate.covariance, expected.covariance)
+    assert np.array_equal(result.estimate.mean, expected.mean)
 
 
 def test_dlf_step_fresh_beats_propagated_at_same_station():

@@ -576,6 +576,23 @@ def sweep_peak_above_a_run(cfg, replicates: int) -> float:
     return (sweep_peak - run_peak) / (cfg.n_points ** 2 * np.dtype(float).itemsize)
 
 
+def test_each_filter_steps_in_one_covariance_buffer():
+    # A fresh posterior per analysis would add one N x N per filter and step; what
+    # remains is the dense transition build of each forecast and small temporaries.
+    cfg = default_config("ou", n_points=200, n_steps=40, space_freq=Fraction(1, 5),
+                         time_freq=Fraction(1, 10))
+    steps = harness._steps(cfg, run_scenario(cfg).observations, harness._run_speeds(cfg))
+    for _ in range(3):  # steps 0 to 2 make both buffers and grow the workspace
+        next(steps)
+
+    def rest():
+        for _ in steps:
+            pass
+
+    square = cfg.n_points ** 2 * np.dtype(float).itemsize
+    assert peak_bytes(rest) / square < 1.5
+
+
 def test_a_sweep_holds_one_steps_factors_and_its_followers_runs():
     # Kept for the whole run, one step's factors per step would be ~16 N x N matrices.
     # The second replicate adds its per-step arrays and one mean row per filter.

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from dlfilter import kalman
@@ -8,7 +9,7 @@ from dlfilter.core import NoiseSource, StateEstimate, make_grid
 from dlfilter.kalman import (FilterError, analysis, condition, forecast, gain_columns,
                              update_mean)
 from dlfilter.model import ModelConfig, model_step
-from dlfilter.obsnet import Observation
+from dlfilter.obsnet import Observation, ObservationBatch
 
 
 def random_spd(rng, n, scale=1.0):
@@ -267,11 +268,112 @@ def test_gain_failure_names_time_index():
         condition(np.zeros(3), np.zeros((3, 3)), [0, 1], np.zeros(2), 0.0, time_index=17)
 
 
+def test_a_non_positive_definite_block_names_its_time_index():
+    # Eigenvalues 3 and -1: the block is symmetric but indefinite.
+    cov = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(FilterError, match="not positive definite at time index 42"):
+        condition(np.zeros(3), cov, [0, 1], np.zeros(2), 0.0, time_index=42)
+    with pytest.raises(FilterError, match="not positive definite$"):
+        gain_columns(cov, [1, 0], 0.0)
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    calls = []
+    for name in ("dpotrf", "dtrtrs"):
+        monkeypatch.setattr(scipy.linalg.lapack, name, lambda *args, name=name,
+                            call=getattr(scipy.linalg.lapack, name), **kwargs: (
+                                calls.append(name) or call(*args, **kwargs)))
+    return calls
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_variance_fails_before_any_lapack_call(lapack_calls, bad):
+    rng = np.random.default_rng(40)
+    cov = random_spd(rng, 20)
+    stations = np.array([3, 17, 8, 0])
+    vector = np.full(4, 0.02)
+    vector[2] = bad
+    # The KF reads one scalar variance, the DLF one per informed station.
+    for variances in (bad, vector):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            condition(np.zeros(20), cov, stations, np.zeros(4), variances)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            gain_columns(cov, stations, variances)
+    assert lapack_calls == []
+    condition(np.zeros(20), cov, stations, np.zeros(4), 0.02)
+    assert lapack_calls == ["dpotrf", "dtrtrs", "dtrtrs"]
+
+
+def test_an_infinite_gathered_column_fails_before_any_lapack_call(lapack_calls):
+    rng = np.random.default_rng(41)
+    cov = random_spd(rng, 20)
+    stations = np.array([3, 17, 8])
+    # Off the block P[S, S]: only the gathered column P[:, 17] sees it.
+    cov[5, 17] = cov[17, 5] = np.inf
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        condition(np.zeros(20), cov, stations, np.zeros(3), 0.02)
+    assert lapack_calls == []
+
+
+def whiten_reference(cov, stations, variances):
+    """L and W = L^-1 P[S, :] through scipy's checked Cholesky and triangular solve."""
+    restricted = cov[np.ix_(stations, stations)]
+    restricted[np.diag_indices(stations.size)] += variances
+    factor = scipy.linalg.cholesky(restricted, lower=True)
+    return factor, scipy.linalg.solve_triangular(factor, cov[:, stations].T, lower=True)
+
+
+@st.composite
+def conditioning_cases(draw):
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cov = random_spd(rng, n, scale=draw(st.sampled_from([1e-3, 1.0, 10.0])))
+    stations = rng.choice(n, size=k, replace=False)
+    variances = (rng.uniform(0.01, 1.0, size=k) if draw(st.booleans())
+                 else draw(st.sampled_from([0.02, 0.5])))
+    return cov, stations, variances
+
+
+@settings(max_examples=200, deadline=None)
+@given(conditioning_cases())
+def test_whiten_and_gain_columns_equal_the_scipy_reference_bit_for_bit(case):
+    cov, stations, variances = case
+    factor, weights = kalman._whiten(cov, stations, variances, None)
+    ref_factor, ref_weights = whiten_reference(cov, stations, variances)
+    assert np.array_equal(factor, ref_factor)
+    assert np.array_equal(weights, ref_weights)
+    ref_gain = scipy.linalg.solve_triangular(ref_factor, ref_weights, lower=True, trans="T").T
+    assert np.array_equal(gain_columns(cov, stations, variances), ref_gain)
+
+
+def test_condition_into_the_prior_equals_the_fresh_posterior_bit_for_bit():
+    rng = np.random.default_rng(43)
+    n, k = 60, 17
+    cov = random_spd(rng, n)
+    stations = rng.choice(n, size=k, replace=False)
+    means, readings = rng.standard_normal((4, n)), rng.standard_normal((4, k))
+    fresh_mean, fresh_cov = condition(means, cov, stations, readings, 0.02)
+    buffer = cov.copy()
+    post_mean, post_cov = condition(means, buffer, stations, readings, 0.02, out=buffer)
+    assert post_cov is buffer
+    assert np.array_equal(post_cov, fresh_cov) and np.array_equal(post_mean, fresh_mean)
+    est = StateEstimate(1, means, cov.copy())
+    block = ObservationBatch(time_index=np.ones(k, dtype=np.int64), station=stations,
+                             value=readings, variance=0.02)
+    post = analysis(est, block, selector(stations, n), 0.02, out=est.covariance)
+    assert post.covariance is est.covariance
+    assert np.array_equal(post.covariance, fresh_cov) and np.array_equal(post.mean, fresh_mean)
+
+
 # --- analysis ------------------------------------------------------------------
 
 def test_analysis_empty_block_returns_forecast():
     est = StateEstimate(5, np.ones(4), np.eye(4))
     assert analysis(est, [], np.eye(4), 0.02) is est
+    assert analysis(est, [], np.eye(4), 0.02, out=est.covariance) is est
+    assert np.array_equal(est.covariance, np.eye(4))
 
 
 def test_analysis_scalar_case():
