@@ -59,22 +59,9 @@ def _step_speeds(truth_cfg: TruthConfig, grid: GridSpec, step: int) -> np.ndarra
     return np.asarray(mean_speed(truth_cfg, grid.positions, (step - 1) * grid.dt), dtype=float)
 
 
-def _run_speeds(cfg: ScenarioConfig, model_only: np.ndarray | None = None,
-                srcs: typing.Sequence[NoiseSource] = ()) -> typing.Iterator[np.ndarray]:
-    """Yield the station speeds of steps 1 to n_steps of a run, each made once.
-
-    Each step's speeds first advance the stack ``model_only`` (R, n_steps + 1, N),
-    whose row 0 is set, by one ``model_step`` for all R rows: row r draws the
-    noise of ``srcs[r]``. The stack is complete once the last speeds are read.
-    """
-    noise_var = cfg.model_noise_var if cfg.model_mode == "stochastic" else 0.0
-    model_cfg = ModelConfig(noise_var=noise_var)
-    for step in range(1, cfg.n_steps + 1):
-        speeds = _step_speeds(cfg.truth_config, cfg.grid, step)
-        if srcs:
-            model_only[:, step] = model_step(model_only[:, step - 1], cfg.grid, model_cfg,
-                                             speeds, srcs)
-        yield speeds
+def _run_speeds(cfg: ScenarioConfig) -> list[np.ndarray]:
+    """The station speeds of steps 1 to n_steps of a run, in step order."""
+    return [_step_speeds(cfg.truth_config, cfg.grid, step) for step in range(1, cfg.n_steps + 1)]
 
 
 # The canonical scenario of each drift family: the values its unset fields take.
@@ -268,14 +255,14 @@ def _without_seeds(cfg: ScenarioConfig) -> dict:
 
 
 def _steps(cfg: ScenarioConfig, readings: ObservationBatch,
-           speeds: typing.Iterable[np.ndarray]):
+           speeds: typing.Sequence[np.ndarray]):
     """Advance the KF and the DLF of ``cfg`` on ``readings``.
 
     ``readings`` is one run's batch, or a stack of the (R, n) readings of R
     runs of configs that differ from ``cfg`` in their seeds only. The station
-    speeds of each step, read in turn from ``speeds`` (see ``_run_speeds``),
-    drive the one model forecast of both filters, which differ only in what
-    they assimilate. Yields ``(kf_estimate, dlf_step_result)`` for steps 0 to
+    speeds of step n, ``speeds[n - 1]`` (see ``_run_speeds``), drive the one
+    model forecast of both filters, which differ only in what they
+    assimilate. Yields ``(kf_estimate, dlf_step_result)`` for steps 0 to
     n_steps; step 0 is the initial state, with an empty pool and assembly.
     Each estimate's mean has one row per replicate of a stack. The same
     inputs replay the same steps bit for bit.
@@ -321,15 +308,25 @@ def _steps(cfg: ScenarioConfig, readings: ObservationBatch,
 
 
 class _Inputs:
-    """The truths and model-only trajectories of runs, each made once.
+    """The station speeds, truths and model-only trajectories of runs, each made once.
 
-    Neither reads the observation network, so every cell of a sweep that
-    shares their inputs shares them. Each is kept under everything it reads.
+    None of them reads the observation network, so every cell of a sweep
+    that shares their inputs shares them. Each is kept under everything it
+    reads: the station speeds under the grid and the truth laws, and each
+    truth and model-only trajectory under those and its own seed and model.
     """
 
     def __init__(self):
+        self._speeds: dict[tuple, list[np.ndarray]] = {}
         self._truths: dict[tuple, TruthField] = {}
         self._model_only: dict[tuple, np.ndarray] = {}
+
+    def speeds(self, cfg: ScenarioConfig) -> list[np.ndarray]:
+        """The station speeds of steps 1 to n_steps of ``cfg`` (see ``_run_speeds``)."""
+        key = (cfg.grid, cfg.truth_config)
+        if key not in self._speeds:
+            self._speeds[key] = _run_speeds(cfg)
+        return self._speeds[key]
 
     def truth(self, cfg: ScenarioConfig) -> TruthField:
         key = (cfg.grid, cfg.truth_config, cfg.seed_truth)
@@ -338,23 +335,27 @@ class _Inputs:
                                                NoiseSource(cfg.seed_truth))
         return self._truths[key]
 
-    def model_only(self, cell: list[ScenarioConfig]) -> tuple[list[np.ndarray],
-                                                              typing.Iterator[np.ndarray]]:
-        """The model-only trajectory (n_steps + 1, N) of each config of a cell,
-        and the station speeds of the cell's steps (see ``_run_speeds``).
+    def model_only(self, cell: list[ScenarioConfig]) -> list[np.ndarray]:
+        """The model-only trajectory (n_steps + 1, N) of each config of a cell.
 
-        The trajectories not made yet step as one stack as the speeds are
-        read, and are complete once the last are.
+        The trajectories not made yet step here as one stack, one
+        ``model_step`` per step for all of them: row r draws the noise of its
+        own ``seed_model``.
         """
         cfg = cell[0]
         keys = [(c.grid, c.truth_config, c.model_noise_var, c.model_mode, c.pulse_center,
                  c.seed_model) for c in cell]
         missing = {key: c for key, c in zip(keys, cell) if key not in self._model_only}
-        rows = np.empty((len(missing), cfg.n_steps + 1, cfg.n_points))
-        rows[:, 0] = pulse_profile(cfg.grid, cfg.pulse_center)
-        self._model_only.update(zip(missing, rows))
-        speeds = _run_speeds(cfg, rows, [NoiseSource(c.seed_model) for c in missing.values()])
-        return [self._model_only[key] for key in keys], speeds
+        if missing:
+            rows = np.empty((len(missing), cfg.n_steps + 1, cfg.n_points))
+            rows[:, 0] = pulse_profile(cfg.grid, cfg.pulse_center)
+            noise_var = cfg.model_noise_var if cfg.model_mode == "stochastic" else 0.0
+            model_cfg = ModelConfig(noise_var=noise_var)
+            srcs = [NoiseSource(c.seed_model) for c in missing.values()]
+            for step, speeds in enumerate(self.speeds(cfg), start=1):
+                rows[:, step] = model_step(rows[:, step - 1], cfg.grid, model_cfg, speeds, srcs)
+            self._model_only.update(zip(missing, rows))
+        return [self._model_only[key] for key in keys]
 
 
 def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False,
@@ -369,8 +370,9 @@ def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False,
     the same filter calls (see ``_steps``). Their results are appended to
     ``follower_results``. Each equals ``run_scenario`` of its own config,
     and this run's result is the same with or without followers. ``inputs``
-    holds the truths and model-only trajectories that earlier runs made (see
-    :func:`sweep`); by default a run makes its own.
+    holds the station speeds, truths and model-only trajectories that earlier
+    runs made (see :func:`sweep`); by default a run makes its own. All of
+    them are made before the filters step.
     """
     structure = _without_seeds(cfg)
     for other in followers:
@@ -381,7 +383,7 @@ def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False,
     inputs = _Inputs() if inputs is None else inputs
     cell = [cfg, *followers]
     truths = [inputs.truth(c) for c in cell]
-    model_only, speeds = inputs.model_only(cell)
+    model_only = inputs.model_only(cell)
     observations = [sample_observations(truth, c.network, NoiseSource(c.seed_obs),
                                         max_step=c.last_data_step)
                     for c, truth in zip(cell, truths)]
@@ -391,7 +393,8 @@ def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False,
     means = np.empty((2, len(cell), cfg.n_steps + 1, cfg.n_points))
     trace_kf, trace_dlf = np.empty(cfg.n_steps + 1), np.empty(cfg.n_steps + 1)
     pool_trace: list[tuple] | None = [] if collect_pool_trace else None
-    for step, (kf_est, dlf_result) in enumerate(_steps(cfg, readings, speeds)):
+    steps = _steps(cfg, readings, inputs.speeds(cfg))
+    for step, (kf_est, dlf_result) in enumerate(steps):
         means[:, :, step] = kf_est.mean, dlf_result.estimate.mean
         trace_kf[step], trace_dlf[step] = kf_est.trace, dlf_result.estimate.trace
         if pool_trace is not None:
@@ -481,9 +484,10 @@ def summarize_cell(cell: list[ScenarioConfig],
 def sweep(cells: list[list[ScenarioConfig]]) -> list[dict]:
     """Replicate-aggregated metrics per cell of :func:`sweep_configs`.
 
-    The cells share one set of inputs, so each truth and model-only
-    trajectory is made once for every cell that reads it: once per seed,
-    not once per cell, when the cells differ in their sampling alone.
+    The cells share one set of inputs, so the station speeds, and each truth
+    and model-only trajectory, are made once for every cell that reads them:
+    once per sweep, and once per seed, not once per cell, when the cells
+    differ in their sampling alone.
     """
     inputs = _Inputs()
     rows = []

@@ -73,14 +73,9 @@ class TruthConfig:
 
 @dataclass(frozen=True)
 class TruthField:
-    """One truth realization: grid values per step plus the characteristic paths."""
+    """One truth realization: its grid values per step."""
 
-    values: np.ndarray              # (n_steps + 1, n_points)
-    characteristic_paths: np.ndarray  # (n_steps + 1, n_points)
-
-    def __post_init__(self):
-        if self.values.shape != self.characteristic_paths.shape:
-            raise ValueError("values and characteristic_paths must have equal shapes")
+    values: np.ndarray  # (n_steps + 1, n_points)
 
 
 def pulse_profile(grid: GridSpec, center: float) -> np.ndarray:
@@ -151,26 +146,23 @@ def generate_truth(grid: GridSpec, cfg: TruthConfig, src: NoiseSource) -> TruthF
     Each station spawns a characteristic; positions advance with the exact
     stochastic step and the carried value accumulates the (stochastic)
     forcing. Every step the scattered values are linearly interpolated back
-    onto the grid with periodic wrap.
+    onto the grid with periodic wrap. Only the current positions are kept.
     """
     n = grid.n_points
-    rows = grid.n_steps + 1
     init_src = src.child(_STREAM_INIT)
     forcing_src = src.child(_STREAM_FORCING)
     speed_src = src.child(_STREAM_SPEED)
 
-    values = np.empty((rows, n))
-    paths = np.empty((rows, n))
-    paths[0] = grid.positions
+    values = np.empty((grid.n_steps + 1, n))
+    positions = grid.positions
     carried = initial_pulse(grid, cfg, init_src)
-    values[0] = carried.copy()
+    values[0] = carried
 
     sqrt_dt = math.sqrt(grid.dt)
     for step in range(grid.n_steps):
-        t = step * grid.dt
-        paths[step + 1] = step_characteristic_exact(
-            cfg, paths[step], t, grid.dt, speed_src, wrap_length=grid.domain_length)
+        positions = step_characteristic_exact(cfg, positions, step * grid.dt, grid.dt,
+                                              speed_src, wrap_length=grid.domain_length)
         carried = carried + gaussian_vector(forcing_src, n, cfg.forcing_noise * sqrt_dt)
-        values[step + 1] = _interp_periodic(
-            grid.positions, paths[step + 1], carried, grid.domain_length)
-    return TruthField(values=values, characteristic_paths=paths)
+        values[step + 1] = _interp_periodic(grid.positions, positions, carried,
+                                            grid.domain_length)
+    return TruthField(values=values)

@@ -298,6 +298,11 @@ def test_one_station_speed_field_per_step(monkeypatch):
     times.clear()
     run_scenario(cfg)
     assert times == step_times
+    # a sweep makes them once for all its cells and replicates, not once per cell
+    cells = sweep_configs(cfg, [cfg.space_freq], [Fraction(1), Fraction(1, 5)], 2)
+    times.clear()
+    sweep(cells)
+    assert times == step_times
 
 
 def _arrays(obj, seen=None):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dlfilter.core import NoiseSource, make_grid
+from dlfilter.core import NoiseSource, gaussian_vector, make_grid
 from dlfilter.truth import (Drift, TruthConfig, _interp_periodic, generate_truth, initial_pulse,
                             mean_speed, pulse_profile, step_characteristic_exact)
 
@@ -172,16 +172,58 @@ def test_generate_truth_row_zero_is_sampled_pulse():
     np.testing.assert_array_equal(field.values[0], expected)
 
 
+def reference_truth(grid, cfg, seed):
+    """``generate_truth`` of ``NoiseSource(seed)`` with the full record of its characteristics.
+
+    The loop keeps every step's positions, each advanced by
+    ``step_characteristic_exact`` on the truth's speed stream (child 2). It
+    returns the values and the (n_steps + 1, N) path record.
+    """
+    src = NoiseSource(seed)
+    init_src, forcing_src, speed_src = src.child(0), src.child(1), src.child(2)
+    values = np.empty((grid.n_steps + 1, grid.n_points))
+    paths = np.empty((grid.n_steps + 1, grid.n_points))
+    paths[0] = grid.positions
+    carried = initial_pulse(grid, cfg, init_src)
+    values[0] = carried.copy()
+    for step in range(grid.n_steps):
+        paths[step + 1] = step_characteristic_exact(cfg, paths[step], step * grid.dt, grid.dt,
+                                                    speed_src, wrap_length=grid.domain_length)
+        carried = carried + gaussian_vector(forcing_src, grid.n_points,
+                                           cfg.forcing_noise * math.sqrt(grid.dt))
+        values[step + 1] = np.interp(grid.positions, paths[step + 1], carried,
+                                     period=grid.domain_length)
+    return values, paths
+
+
+def crosses_the_seam(paths, length) -> bool:
+    """Whether some characteristic wraps between two steps."""
+    return bool(np.any(np.abs(np.diff(paths, axis=0)) > length / 2))
+
+
+@pytest.mark.parametrize("grid, cfg, seed", [
+    (make_grid(2.0, 50, 0.99, 0.0196, 200), ou_config(), 5),
+    (grid_for(n_steps=60), ou_config(speed_noise=0.2, forcing_noise=0.05), 8),
+    (grid_for(n_steps=40), acc_config(base_speed=1.0), 6),
+    (grid_for(n_steps=40), acc_config(speed_ramp=0.3, speed_noise=0.1), 9),
+], ids=["ou-paper", "ou-noisy", "accelerating-fast", "accelerating-ramp"])
+def test_generate_truth_equals_the_full_path_record_reference_bit_for_bit(grid, cfg, seed):
+    values, paths = reference_truth(grid, cfg, seed)
+    assert crosses_the_seam(paths, grid.domain_length)
+    assert np.array_equal(generate_truth(grid, cfg, NoiseSource(seed)).values, values)
+
+
 def test_generate_truth_paper_ou_member_is_valid():
     grid = make_grid(2.0, 50, 0.99, 0.0196, 200)
     field = generate_truth(grid, ou_config(), NoiseSource(5))
     assert field.values.shape == (201, 50)
     assert np.all(np.isfinite(field.values))
-    assert np.all(field.characteristic_paths >= 0)
-    assert np.all(field.characteristic_paths < 2.0)
+    _, paths = reference_truth(grid, ou_config(), 5)
+    assert np.all(paths >= 0)
+    assert np.all(paths < 2.0)
     # the OU pull contracts every characteristic toward the origin
-    spread_start = np.ptp(field.characteristic_paths[0])
-    spread_end = np.ptp(np.sort(field.characteristic_paths[-1]))
+    spread_start = np.ptp(paths[0])
+    spread_end = np.ptp(np.sort(paths[-1]))
     assert spread_end < spread_start
 
 
@@ -198,9 +240,10 @@ def test_generate_truth_conserves_pulse_integral_under_translation():
 
 def test_generate_truth_positions_stay_wrapped():
     grid = grid_for(n_steps=30)
-    field = generate_truth(grid, acc_config(base_speed=1.0), NoiseSource(6))
-    assert np.all(field.characteristic_paths >= 0)
-    assert np.all(field.characteristic_paths < grid.domain_length)
+    _, paths = reference_truth(grid, acc_config(base_speed=1.0), 6)
+    assert crosses_the_seam(paths, grid.domain_length)
+    assert np.all(paths >= 0)
+    assert np.all(paths < grid.domain_length)
 
 
 @pytest.mark.parametrize("positions, collapsed", [
