@@ -40,7 +40,7 @@ __all__ = [
     "circular_distance",
     "run_scenario",
     "summarize_run",
-    "summarize_cell",
+    "run_cell",
     "sweep",
     "sweep_configs",
     "write_outputs",
@@ -250,22 +250,34 @@ def circular_distance(a, b, length: float):
     return np.minimum(d, length - d)
 
 
-def _without_seeds(cfg: ScenarioConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(cfg) if not f.name.startswith("seed_")}
+_SEEDS = ("seed_truth", "seed_model", "seed_obs")
+_SAMPLING = ("space_freq", "time_freq")
+
+
+def _without(cfg: ScenarioConfig, names: typing.Collection[str]) -> dict:
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in names}
+
+
+def _refuse_unlike(pairs, names: typing.Collection[str], rule: str) -> None:
+    """Raise ``ValueError`` at a (config, reference) pair that differs beyond ``names``."""
+    for cfg, ref in pairs:
+        expected = _without(ref, names)
+        if differ := sorted(k for k, v in _without(cfg, names).items() if expected[k] != v):
+            raise ValueError(f"{rule}; one differs in {differ}")
 
 
 def _steps(cfg: ScenarioConfig, readings: ObservationBatch,
            speeds: typing.Sequence[np.ndarray]):
     """Advance the KF and the DLF of ``cfg`` on ``readings``.
 
-    ``readings`` is one run's batch, or a stack of the (R, n) readings of R
-    runs of configs that differ from ``cfg`` in their seeds only. The station
-    speeds of step n, ``speeds[n - 1]`` (see ``_run_speeds``), drive the one
-    model forecast of both filters, which differ only in what they
-    assimilate. Yields ``(kf_estimate, dlf_step_result)`` for steps 0 to
-    n_steps; step 0 is the initial state, with an empty pool and assembly.
-    Each estimate's mean has one row per replicate of a stack. The same
-    inputs replay the same steps bit for bit.
+    ``readings`` is one run's batch, or a stack of the (R, n) readings of a
+    cell's R replicates (see :func:`run_cell`), which differ from ``cfg`` in
+    their seeds only. The station speeds of step n, ``speeds[n - 1]`` (see
+    ``_run_speeds``), drive the one model forecast of both filters, which
+    differ only in what they assimilate. Yields ``(kf_estimate,
+    dlf_step_result)`` for steps 0 to n_steps; step 0 is the initial state,
+    with an empty pool and assembly. Each estimate's mean has one row per
+    replicate of a stack. The same inputs replay the same steps bit for bit.
 
     The scenario is linear and Gaussian, so neither filter's gains read the
     data (Anderson & Moore, *Optimal Filtering*, 1979, §3.1): the
@@ -307,55 +319,33 @@ def _steps(cfg: ScenarioConfig, readings: ObservationBatch,
         yield kf_est, dlf_result
 
 
-class _Inputs:
-    """The station speeds, truths and model-only trajectories of runs, each made once.
+class _Inputs(typing.NamedTuple):
+    """What the runs of a cell read besides their readings, made by ``_make_inputs``."""
+
+    speeds: list[np.ndarray]       # steps 1 to n_steps (see ``_run_speeds``)
+    truths: list[TruthField]       # one per replicate
+    model_only: np.ndarray         # (R, n_steps + 1, n_points), row r replicate r's
+
+
+def _make_inputs(cell: typing.Sequence[ScenarioConfig]) -> _Inputs:
+    """The station speeds, truths and model-only trajectories of a cell's replicates.
 
     None of them reads the observation network, so every cell of a sweep
-    that shares their inputs shares them. Each is kept under everything it
-    reads: the station speeds under the grid and the truth laws, and each
-    truth and model-only trajectory under those and its own seed and model.
+    shares them (see :func:`sweep`). The model-only rows step as one stack,
+    one ``model_step`` per step for all of them: row r draws the noise of
+    its own ``seed_model``.
     """
-
-    def __init__(self):
-        self._speeds: dict[tuple, list[np.ndarray]] = {}
-        self._truths: dict[tuple, TruthField] = {}
-        self._model_only: dict[tuple, np.ndarray] = {}
-
-    def speeds(self, cfg: ScenarioConfig) -> list[np.ndarray]:
-        """The station speeds of steps 1 to n_steps of ``cfg`` (see ``_run_speeds``)."""
-        key = (cfg.grid, cfg.truth_config)
-        if key not in self._speeds:
-            self._speeds[key] = _run_speeds(cfg)
-        return self._speeds[key]
-
-    def truth(self, cfg: ScenarioConfig) -> TruthField:
-        key = (cfg.grid, cfg.truth_config, cfg.seed_truth)
-        if key not in self._truths:
-            self._truths[key] = generate_truth(cfg.grid, cfg.truth_config,
-                                               NoiseSource(cfg.seed_truth))
-        return self._truths[key]
-
-    def model_only(self, cell: list[ScenarioConfig]) -> list[np.ndarray]:
-        """The model-only trajectory (n_steps + 1, N) of each config of a cell.
-
-        The trajectories not made yet step here as one stack, one
-        ``model_step`` per step for all of them: row r draws the noise of its
-        own ``seed_model``.
-        """
-        cfg = cell[0]
-        keys = [(c.grid, c.truth_config, c.model_noise_var, c.model_mode, c.pulse_center,
-                 c.seed_model) for c in cell]
-        missing = {key: c for key, c in zip(keys, cell) if key not in self._model_only}
-        if missing:
-            rows = np.empty((len(missing), cfg.n_steps + 1, cfg.n_points))
-            rows[:, 0] = pulse_profile(cfg.grid, cfg.pulse_center)
-            noise_var = cfg.model_noise_var if cfg.model_mode == "stochastic" else 0.0
-            model_cfg = ModelConfig(noise_var=noise_var)
-            srcs = [NoiseSource(c.seed_model) for c in missing.values()]
-            for step, speeds in enumerate(self.speeds(cfg), start=1):
-                rows[:, step] = model_step(rows[:, step - 1], cfg.grid, model_cfg, speeds, srcs)
-            self._model_only.update(zip(missing, rows))
-        return [self._model_only[key] for key in keys]
+    cfg = cell[0]
+    speeds = _run_speeds(cfg)
+    truths = [generate_truth(cfg.grid, cfg.truth_config, NoiseSource(c.seed_truth)) for c in cell]
+    rows = np.empty((len(cell), cfg.n_steps + 1, cfg.n_points))
+    rows[:, 0] = pulse_profile(cfg.grid, cfg.pulse_center)
+    model_cfg = ModelConfig(noise_var=cfg.model_noise_var if cfg.model_mode == "stochastic"
+                            else 0.0)
+    srcs = [NoiseSource(c.seed_model) for c in cell]
+    for step, step_speeds in enumerate(speeds, start=1):
+        rows[:, step] = model_step(rows[:, step - 1], cfg.grid, model_cfg, step_speeds, srcs)
+    return _Inputs(speeds, truths, rows)
 
 
 def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False,
@@ -368,22 +358,15 @@ def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False,
     ``followers`` are configs that differ from ``cfg`` in their seeds only;
     their readings stack under this run's, one row each, and step through
     the same filter calls (see ``_steps``). Their results are appended to
-    ``follower_results``. Each equals ``run_scenario`` of its own config,
-    and this run's result is the same with or without followers. ``inputs``
-    holds the station speeds, truths and model-only trajectories that earlier
-    runs made (see :func:`sweep`); by default a run makes its own. All of
-    them are made before the filters step.
+    ``follower_results`` (see :func:`run_cell`). Each equals ``run_scenario``
+    of its own config, and this run's result is the same with or without
+    followers. ``inputs`` are the ``_make_inputs`` of ``cfg`` and its
+    followers, made before the filters step; by default a run makes its own.
     """
-    structure = _without_seeds(cfg)
-    for other in followers:
-        differ = sorted(k for k, v in _without_seeds(other).items() if structure[k] != v)
-        if differ:
-            raise ValueError(f"a follower must differ from its lead config in its seeds "
-                             f"only; one differs in {differ}")
-    inputs = _Inputs() if inputs is None else inputs
+    _refuse_unlike(((other, cfg) for other in followers), _SEEDS,
+                   "a follower must differ from its lead config in its seeds only")
     cell = [cfg, *followers]
-    truths = [inputs.truth(c) for c in cell]
-    model_only = inputs.model_only(cell)
+    speeds, truths, model_only = _make_inputs(cell) if inputs is None else inputs
     observations = [sample_observations(truth, c.network, NoiseSource(c.seed_obs),
                                         max_step=c.last_data_step)
                     for c, truth in zip(cell, truths)]
@@ -393,7 +376,7 @@ def run_scenario(cfg: ScenarioConfig, collect_pool_trace: bool = False,
     means = np.empty((2, len(cell), cfg.n_steps + 1, cfg.n_points))
     trace_kf, trace_dlf = np.empty(cfg.n_steps + 1), np.empty(cfg.n_steps + 1)
     pool_trace: list[tuple] | None = [] if collect_pool_trace else None
-    steps = _steps(cfg, readings, inputs.speeds(cfg))
+    steps = _steps(cfg, readings, speeds)
     for step, (kf_est, dlf_result) in enumerate(steps):
         means[:, :, step] = kf_est.mean, dlf_result.estimate.mean
         trace_kf[step], trace_dlf[step] = kf_est.trace, dlf_result.estimate.trace
@@ -469,30 +452,42 @@ def sweep_configs(base: ScenarioConfig, xi_list, tau_list,
             for xi in xi_list for tau in tau_list]
 
 
-def summarize_cell(cell: list[ScenarioConfig],
-                   inputs: _Inputs | None = None) -> list[dict[str, float]]:
-    """The summary of each replicate run of one cell of :func:`sweep_configs`.
+def run_cell(cell: list[ScenarioConfig], inputs: _Inputs | None = None) -> list[RunResult]:
+    """The run of every replicate of one cell of :func:`sweep_configs`, lead first.
 
-    The replicates step as one stack (see ``run_scenario``, which gets
-    ``inputs``), so each summary is that of ``run_scenario`` of its config.
+    The replicates step as one stack through one ``run_scenario`` of the
+    lead (see ``_steps``), so each result equals ``run_scenario`` of its own
+    config bit for bit. ``inputs`` are the cell's ``_make_inputs``; by
+    default the cell makes its own.
     """
     followers: list[RunResult] = []
     lead = run_scenario(cell[0], followers=cell[1:], follower_results=followers, inputs=inputs)
-    return [summarize_run(result) for result in (lead, *followers)]
+    return [lead, *followers]
 
 
 def sweep(cells: list[list[ScenarioConfig]]) -> list[dict]:
     """Replicate-aggregated metrics per cell of :func:`sweep_configs`.
 
-    The cells share one set of inputs, so the station speeds, and each truth
-    and model-only trajectory, are made once for every cell that reads them:
-    once per sweep, and once per seed, not once per cell, when the cells
-    differ in their sampling alone.
+    The cells differ in their sampling alone: replicate r of every cell
+    equals replicate r of the first cell in every field but ``space_freq``
+    and ``time_freq``, and the replicates of a cell differ in their seeds
+    only. Anything else raises ``ValueError`` before any input is made. So
+    every cell reads the same station speeds, truths and model-only
+    trajectories, and the sweep makes them once, before the first cell runs.
     """
-    inputs = _Inputs()
+    lead = cells[0]
+    _refuse_unlike(((cfg, lead[0]) for cfg in lead), _SEEDS,
+                   "the replicates of a cell must differ in their seeds only")
+    for cell in cells:
+        if len(cell) != len(lead):
+            raise ValueError(f"every cell of a sweep needs the first cell's {len(lead)} "
+                             f"replicates; one has {len(cell)}")
+        _refuse_unlike(zip(cell, lead), _SAMPLING, "replicate r of every cell must equal "
+                       "replicate r of the first cell in all but its sampling")
+    inputs = _make_inputs(lead)
     rows = []
     for cell in cells:
-        summaries = summarize_cell(cell, inputs)
+        summaries = [summarize_run(result) for result in run_cell(cell, inputs)]
         row: dict = {"xi": str(cell[0].space_freq), "tau": str(cell[0].time_freq),
                      "replicates": len(cell)}
         for key in summaries[0]:

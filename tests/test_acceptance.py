@@ -17,8 +17,8 @@ from dlfilter.checks import (check_gain_optimality, check_gaussian_conditioning,
                              check_semi_lagrangian, check_shift_exactness)
 from dlfilter.core import NoiseSource, StateEstimate
 from dlfilter.dlf import Pool, dlf_step, rank_order
-from dlfilter.harness import (config_from_flat, default_config, run_scenario,
-                              summarize_cell, sweep_configs, write_outputs)
+from dlfilter.harness import (config_from_flat, default_config, run_cell, run_scenario,
+                              summarize_run, sweep_configs, write_outputs)
 from dlfilter.kalman import analysis, forecast
 from dlfilter.model import ModelConfig
 from dlfilter.obsnet import observation_matrix, observations_by_step, sample_observations
@@ -37,7 +37,7 @@ def report(number, label, ok, detail):
 def cell_summaries(drift: str, xi: Fraction, tau: Fraction) -> tuple[dict, ...]:
     """The replicate summaries of one cell, made as ``dlfilter sweep`` makes them."""
     (cell,) = sweep_configs(default_config(drift), [xi], [tau], N_REPLICATES)
-    return tuple(summarize_cell(cell))
+    return tuple(summarize_run(result) for result in run_cell(cell))
 
 
 def median_of(summaries, key):

@@ -15,7 +15,7 @@ from dlfilter import dlf, harness, kalman, model
 from dlfilter.core import make_grid
 from dlfilter.harness import (ScenarioConfig, _write_table, center_of_mass, circular_distance,
                               config_from_flat, config_to_flat, default_config,
-                              load_config, load_run, read_table, run_scenario, summarize_cell,
+                              load_config, load_run, read_table, run_cell, run_scenario,
                               summarize_run, sweep, sweep_configs, write_outputs, write_sweep_csv)
 from dlfilter.obsnet import ObservationBatch
 from dlfilter.truth import Drift, mean_speed, pulse_profile
@@ -437,6 +437,26 @@ def test_a_sweep_makes_each_replicates_inputs_once_for_all_its_cells(monkeypatch
         assert summarize_run(result) == summarize_run(run_scenario(result.config))
 
 
+def test_a_sweep_refuses_cells_that_differ_beyond_their_sampling_before_any_input(
+        monkeypatch):
+    def no_truth(*args):
+        raise AssertionError("a truth was made")
+    monkeypatch.setattr(harness, "generate_truth", no_truth)
+    cfg = small_cfg()
+    first, second = sweep_configs(cfg, [cfg.space_freq], [Fraction(1), Fraction(1, 5)], 3)
+    shifted = [replace(c, seed_truth=c.seed_truth + 1, seed_model=c.seed_model + 1,
+                       seed_obs=c.seed_obs + 1) for c in second]
+    for cells, refusal in (
+            ([first, [replace(c, obs_var=2 * c.obs_var) for c in second]],
+             r"all but its sampling; one differs in \['obs_var'\]"),
+            ([first, second[:2]], "the first cell's 3 replicates; one has 2"),
+            ([first, shifted], r"one differs in \['seed_model', 'seed_obs', 'seed_truth'\]"),
+            ([[first[0], replace(first[1], obs_var=2 * cfg.obs_var)], second[:2]],
+             r"seeds only; one differs in \['obs_var'\]")):
+        with pytest.raises(ValueError, match=refusal):
+            sweep(cells)
+
+
 @st.composite
 def small_cells(draw):
     """A cell of 2 or 3 replicates of a small random scenario that loads."""
@@ -460,10 +480,9 @@ def small_cells(draw):
 @settings(max_examples=40, deadline=None)
 @given(small_cells())
 def test_every_replicate_of_a_cell_equals_its_own_run_bit_for_bit(cell):
-    followers = []
-    lead = run_scenario(cell[0], followers=cell[1:], follower_results=followers)
-    assert [r.config for r in (lead, *followers)] == cell
-    for result in (lead, *followers):
+    results = run_cell(cell)
+    assert [r.config for r in results] == cell
+    for result in results:
         own = run_scenario(result.config)
         for array in ("model_only", "kf_mean", "dlf_mean"):
             assert np.array_equal(getattr(result, array), getattr(own, array)), array
@@ -526,7 +545,7 @@ def test_a_cell_step_builds_one_transition_for_all_its_followers(monkeypatch):
     for replicates in (1, 2, 5):
         for calls in (builds, updates, factorizations):
             calls.clear()
-        summarize_cell(sweep_configs(cfg, [cfg.space_freq], [cfg.time_freq], replicates)[0])
+        run_cell(sweep_configs(cfg, [cfg.space_freq], [cfg.time_freq], replicates)[0])
         per_step[replicates] = len(builds) / cfg.n_steps
         assert len(updates) == len(factorizations) > 0
         per_cell[replicates] = len(updates)

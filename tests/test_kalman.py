@@ -309,11 +309,14 @@ def test_an_infinite_gathered_column_fails_before_any_lapack_call(lapack_calls):
     rng = np.random.default_rng(41)
     cov = random_spd(rng, 20)
     stations = np.array([3, 17, 8])
+    finite = cov.copy()
     # Off the block P[S, S]: only the gathered column P[:, 17] sees it.
     cov[5, 17] = cov[17, 5] = np.inf
     with pytest.raises(ValueError, match="infs or NaNs"):
         condition(np.zeros(20), cov, stations, np.zeros(3), 0.02)
     assert lapack_calls == []
+    condition(np.zeros(20), finite, stations, np.zeros(3), 0.02)
+    assert lapack_calls == ["dpotrf", "dtrtrs", "dtrtrs"]
 
 
 def whiten_reference(cov, stations, variances):
