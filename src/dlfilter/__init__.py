@@ -13,7 +13,7 @@ from .truth import (Drift, TruthConfig, TruthField, generate_truth, initial_puls
 from .model import ModelConfig, lax_friedrichs_matrix, lax_friedrichs_weights, model_step
 from .obsnet import (Observation, ObservationBatch, ObsNetwork, build_network,
                      observation_matrix, observations_by_step, sample_observations)
-from .kalman import FilterError, analysis, condition, forecast, gain_columns
+from .kalman import FilterError, analysis, condition, forecast
 from .dlf import (DlfStepResult, LikelihoodAssembly, Pool, dlf_step, multi_analysis, project,
                   propagate_observation, propagate_variance, rank_order, viability_filter)
 from .harness import (MetricTable, RunResult, ScenarioConfig, center_of_mass,
@@ -27,7 +27,7 @@ __all__ = [
     "ModelConfig", "lax_friedrichs_matrix", "lax_friedrichs_weights", "model_step",
     "Observation", "ObservationBatch", "ObsNetwork", "build_network", "observation_matrix",
     "observations_by_step", "sample_observations",
-    "FilterError", "analysis", "condition", "forecast", "gain_columns",
+    "FilterError", "analysis", "condition", "forecast",
     "DlfStepResult", "LikelihoodAssembly", "Pool", "dlf_step", "multi_analysis", "project",
     "propagate_observation", "propagate_variance", "rank_order", "viability_filter",
     "MetricTable", "RunResult", "ScenarioConfig", "center_of_mass", "circular_distance",

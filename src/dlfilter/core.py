@@ -89,12 +89,12 @@ class StateEstimate:
             if not err <= SYMMETRY_RTOL * _scale(cov):
                 raise ValueError(f"covariance is not symmetric within tolerance "
                                  f"(max |P - P^T| = {err:.3g})")
-        diagonal = np.diag(cov)
-        low = float(diagonal.min())
+        # An infinite entry makes the scale infinite, and with it the tolerance.
+        if not np.isfinite(cov).all():
+            raise ValueError("covariance has an infinite entry")
+        low = float(np.diag(cov).min())
         if not (low >= 0 or low >= -SYMMETRY_RTOL * _scale(cov)):
             raise ValueError("covariance has a negative diagonal entry")
-        if not np.isfinite(diagonal).all():
-            raise ValueError("covariance has an infinite diagonal entry")
 
     @property
     def trace(self) -> float:

@@ -13,7 +13,7 @@ from .core import GridSpec, StateEstimate
 from .model import ModelConfig, advect, apply_transition, lax_friedrichs_weights
 from .obsnet import Observation, ObservationBatch, read_block
 
-__all__ = ["FilterError", "forecast", "analysis", "condition", "update_mean", "gain_columns"]
+__all__ = ["FilterError", "forecast", "analysis", "condition"]
 
 
 class FilterError(RuntimeError):
@@ -64,57 +64,6 @@ def forecast(prev: StateEstimate, grid: GridSpec, model_cfg: ModelConfig,
     return StateEstimate(time_index=prev.time_index + 1, mean=mean, covariance=cov)
 
 
-def _whiten(cov: np.ndarray, stations: np.ndarray, variances,
-            time_index: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factor L of P[S, S] + diag(r), and W = L^-1 P[S, :].
-
-    P must be symmetric: P[S, :] is read as the transpose of the gathered
-    columns P[:, S]. W is a (k, N) view of workspace slot 0. Non-finite
-    columns or variances raise ``ValueError`` before any LAPACK call, as
-    scipy's ``check_finite`` would.
-    """
-    if stations.size == 0:
-        raise ValueError("conditioning needs at least one reading")
-    columns = np.take(cov, stations, axis=1, out=_workspace(0, (cov.shape[0], stations.size)))
-    if not (np.isfinite(columns).all() and np.isfinite(variances).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    restricted = columns[stations]
-    restricted.flat[::stations.size + 1] += variances  # the diagonal
-    # The block is exactly symmetric, so its Fortran-ordered transpose is the
-    # same matrix and potrf factors it in place.
-    factor, info = scipy.linalg.lapack.dpotrf(restricted.T, lower=1, overwrite_a=1)
-    if info > 0:
-        where = "" if time_index is None else f" at time index {time_index}"
-        raise FilterError(f"innovation covariance not positive definite{where}")
-    # columns.T is Fortran-ordered, so the solve runs in place in the workspace.
-    # A factor from potrf has a positive diagonal, so trtrs cannot fail.
-    return factor, scipy.linalg.lapack.dtrtrs(factor, columns.T, lower=1, overwrite_b=1)[0]
-
-
-def update_mean(mean: np.ndarray, stations: np.ndarray, values, factor: np.ndarray,
-                weights: np.ndarray) -> np.ndarray:
-    """The posterior mean of :func:`condition` from its factors: mean + W^T L^-1 (y - mean[S]).
-
-    ``mean`` (..., N) and ``values`` (..., k) may be stacks of rows that share
-    the factors. Each row gets its own LAPACK ``trtrs`` and matrix-vector
-    product, so it equals its one-mean update bit for bit; one solve or
-    product over the stack would round differently. A non-finite factor or
-    innovation raises ``ValueError``, a zero on L's diagonal ``LinAlgError``.
-    """
-    innovation = np.asarray(values, dtype=float) - mean[..., stations]
-    if factor.shape != innovation.shape[-1:] * 2:
-        raise ValueError(f"factor of shape {factor.shape} does not fit "
-                         f"{innovation.shape[-1]} readings")
-    if not (np.isfinite(factor).all() and np.isfinite(innovation).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    for row in innovation.reshape(-1, innovation.shape[-1]):
-        row[:], info = scipy.linalg.lapack.dtrtrs(factor, row, lower=1)
-        if info > 0:
-            raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal "
-                                        f"{info - 1}")
-    return mean + np.matmul(weights.T, innovation[..., None])[..., 0]
-
-
 def condition(mean: np.ndarray, cov: np.ndarray, stations, values, variances,
               time_index: int | None = None,
               out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -126,30 +75,48 @@ def condition(mean: np.ndarray, cov: np.ndarray, stations, values, variances,
 
         mean + W^T L^-1 (y - mean[S]),   P - W^T W,
 
-    in O(N^2 k). ``mean`` (..., N) and ``values`` (..., k) may be stacks of
-    replicates: the gain does not read the data, so one factorization serves
-    every row, and :func:`update_mean` gives each row its own solve. ``W.T @ W``
-    is a symmetric rank-k product, so the posterior covariance is exactly
-    symmetric whenever P is (factorized update, after Bierman 1977). The mean
-    is a new array; the covariance is written to ``out`` (a new array if
-    None), which may be ``cov`` itself: a caller done with the prior can
-    condition into its buffer. ``time_index`` only labels a failed
-    factorization.
+    in O(N^2 k). P must be symmetric: P[S, :] is read as the transpose of the
+    gathered columns P[:, S]. ``mean`` (..., N) and ``values`` (..., k) may be
+    stacks of replicates: the gain does not read the data, so one
+    factorization serves every row. Each row gets its own LAPACK ``trtrs`` and
+    matrix-vector product, so it equals its one-mean update bit for bit.
+    ``W.T @ W`` is a symmetric rank-k product, so the posterior covariance is
+    exactly symmetric whenever P is (factorized update, after Bierman 1977).
+    The mean is a new array; the covariance is written to ``out`` (a new
+    array if None), which may be ``cov`` itself: a caller done with the prior
+    can condition into its buffer. ``time_index`` only labels a failed
+    factorization. Readings that are not one per station, and non-finite
+    gathered columns, variances or innovations, raise ``ValueError`` before
+    any LAPACK call.
     """
     stations = np.asarray(stations, dtype=np.int64)
-    factor, weights = _whiten(cov, stations, variances, time_index)
-    post_mean = update_mean(mean, stations, values, factor, weights)
+    values = np.asarray(values, dtype=float)
+    if stations.size == 0:
+        raise ValueError("conditioning needs at least one reading")
+    if values.shape[-1:] != (stations.size,):
+        raise ValueError(f"readings of shape {values.shape} are not one per station "
+                         f"of {stations.size}")
+    columns = np.take(cov, stations, axis=1, out=_workspace(0, (cov.shape[0], stations.size)))
+    innovation = values - mean[..., stations]
+    if not (np.isfinite(columns).all() and np.isfinite(variances).all()
+            and np.isfinite(innovation).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    restricted = columns[stations]
+    restricted.flat[::stations.size + 1] += variances  # the diagonal
+    # The block is exactly symmetric, so its Fortran-ordered transpose is the
+    # same matrix and potrf factors it in place.
+    factor, info = scipy.linalg.lapack.dpotrf(restricted.T, lower=1, overwrite_a=1)
+    if info > 0:
+        where = "" if time_index is None else f" at time index {time_index}"
+        raise FilterError(f"innovation covariance not positive definite{where}")
+    # columns.T is Fortran-ordered, so W is solved in place in workspace slot 0.
+    # A factor from potrf has a positive diagonal, so no trtrs can fail.
+    weights = scipy.linalg.lapack.dtrtrs(factor, columns.T, lower=1, overwrite_b=1)[0]
+    for row in innovation.reshape(-1, stations.size):
+        row[:] = scipy.linalg.lapack.dtrtrs(factor, row, lower=1)[0]
+    post_mean = mean + np.matmul(weights.T, innovation[..., None])[..., 0]
     product = np.matmul(weights.T, weights, out=_workspace(1, cov.shape))
     return post_mean, np.subtract(cov, product, out=out)
-
-
-def gain_columns(cov: np.ndarray, stations, variances) -> np.ndarray:
-    """Gain columns P[:, S] (P[S, S] + diag(r))^-1 = W^T L^-1 of :func:`condition`.
-
-    Shape (n_state, k): the nonzero columns of the Kalman gain, for scoring.
-    """
-    factor, weights = _whiten(cov, np.asarray(stations, dtype=np.int64), variances, None)
-    return scipy.linalg.lapack.dtrtrs(factor, weights, lower=1, trans=1)[0].T
 
 
 def analysis(forecast_est: StateEstimate, obs_block: ObservationBatch | list[Observation],

@@ -125,6 +125,19 @@ def test_state_estimate_refuses_a_nan_off_diagonal_pair():
         StateEstimate(0, np.zeros(3), cov)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_state_estimate_refuses_an_infinite_off_diagonal_entry(bad):
+    # One entry makes the scale, and with it the symmetry tolerance, infinite;
+    # a pair is exactly symmetric and skips the tolerance scan.
+    for pair in (False, True):
+        cov = np.eye(3)
+        cov[0, 2] = bad
+        if pair:
+            cov[2, 0] = bad
+        with pytest.raises(ValueError, match="infinite entry"):
+            StateEstimate(0, np.zeros(3), cov)
+
+
 def test_state_estimate_refuses_a_nan_diagonal_entry():
     cov = np.eye(3)
     cov[1, 1] = np.nan
@@ -153,7 +166,7 @@ def full_scan_verdict(cov):
     with np.errstate(invalid="ignore"):  # inf - inf in the symmetry residual
         if not float(np.abs(cov - cov.T).max()) <= SYMMETRY_RTOL * scale:
             return False
-    return float(np.diag(cov).min()) >= -SYMMETRY_RTOL * scale
+    return np.isfinite(cov).all() and float(np.diag(cov).min()) >= -SYMMETRY_RTOL * scale
 
 
 def test_state_estimate_check_keeps_the_full_scan_verdicts():

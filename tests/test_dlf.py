@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dlfilter.checks import condition_gain
 from dlfilter.core import StateEstimate, make_grid
 from dlfilter.dlf import (POOL_CAP_FACTOR, Pool, dlf_step, multi_analysis, project,
                           propagate_observation, propagate_variance, rank_order,
                           viability_filter)
-from dlfilter.kalman import analysis, forecast, gain_columns
+from dlfilter.kalman import analysis, forecast
 from dlfilter.model import ModelConfig
 from dlfilter.obsnet import Observation, ObservationBatch, build_network
 from dlfilter.truth import Drift, TruthConfig, mean_speed
@@ -303,7 +304,7 @@ def full_assembly(values, variances):
 
 def multi_gain(cov, assembly):
     """Gain columns of the multi-analysis, one per informed station."""
-    return gain_columns(cov, assembly.informed_stations, assembly.projected_variances)
+    return condition_gain(cov, assembly.informed_stations, assembly.projected_variances)
 
 
 def test_multi_gain_identity_prior_unit_variance_is_half_identity():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from dlfilter import dlf, harness, kalman, model
@@ -536,10 +536,12 @@ def test_a_cell_step_builds_one_transition_for_all_its_followers(monkeypatch):
     builds, updates, factorizations = [], [], []
     monkeypatch.setattr(model, "lax_friedrichs_matrix", lambda *args, build=(
         model.lax_friedrichs_matrix): builds.append(1) or build(*args))
-    monkeypatch.setattr(kalman, "update_mean", lambda *args, update=kalman.update_mean: (
-        updates.append(1) or update(*args)))
-    monkeypatch.setattr(kalman, "_whiten", lambda *args, whiten=kalman._whiten: (
-        factorizations.append(1) or whiten(*args)))
+    # dlf imports condition by name, so both names are wrapped
+    counted = lambda *args, update=kalman.condition, **kw: updates.append(1) or update(*args, **kw)
+    for module in (kalman, dlf):
+        monkeypatch.setattr(module, "condition", counted)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda *args, factor=(
+        scipy.linalg.lapack.dpotrf), **kw: factorizations.append(1) or factor(*args, **kw))
     cfg = small_cfg()
     per_step, per_cell = {}, {}
     for replicates in (1, 2, 5):

@@ -3,11 +3,9 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from dlfilter import kalman
-from dlfilter.checks import condition_on_stations
+from dlfilter.checks import condition_gain, condition_on_stations
 from dlfilter.core import NoiseSource, StateEstimate, make_grid
-from dlfilter.kalman import (FilterError, analysis, condition, forecast, gain_columns,
-                             update_mean)
+from dlfilter.kalman import FilterError, analysis, condition, forecast
 from dlfilter.model import ModelConfig, model_step
 from dlfilter.obsnet import Observation, ObservationBatch
 
@@ -171,7 +169,7 @@ def test_results_keep_their_values_through_later_calls():
     est = forecast(StateEstimate(1, mean, cov), grid, ModelConfig(0.08), np.zeros(n))
     kept_forecast = est.covariance.copy()
     condition(est.mean, est.covariance, stations[:40], rng.standard_normal(40), 0.02)
-    gain_columns(cov, stations[40:], 0.02)
+    condition_gain(cov, stations[40:], 0.02)
     forecast(StateEstimate(0, post_mean, post_cov), grid, ModelConfig(0.08), np.ones(n))
     np.testing.assert_array_equal(post_mean, kept[0])
     np.testing.assert_array_equal(post_cov, kept[1])
@@ -212,29 +210,6 @@ def test_kept_factors_repeat_the_posterior_mean_bit_for_bit(n, k):
         assert np.array_equal(post_cov, own_cov)
 
 
-def test_update_mean_refuses_a_nan_reading_and_a_singular_factor():
-    rng = np.random.default_rng(31)
-    n, k = 50, 13
-    cov = random_spd(rng, n)
-    stations = rng.choice(n, size=k, replace=False)
-    factor, weights = kalman._whiten(cov, stations, 0.02, None)
-    means, readings = rng.standard_normal((4, n)), rng.standard_normal((4, k))
-    readings[2, 5] = np.nan
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        update_mean(means, stations, readings, factor, weights)
-    readings[2, 5] = 0.0
-    nan_factor = factor.copy()
-    nan_factor[3, 1] = np.inf
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        update_mean(means, stations, readings, nan_factor, weights)
-    singular = factor.copy()
-    singular[7, 7] = 0.0
-    with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        update_mean(means, stations, readings, singular, weights)
-    with pytest.raises(ValueError, match="does not fit"):
-        update_mean(means, stations[:-1], readings[:, :-1], factor, weights)
-
-
 def test_gain_columns_match_dense_gain():
     rng = np.random.default_rng(14)
     cov = random_spd(rng, 9)
@@ -242,24 +217,24 @@ def test_gain_columns_match_dense_gain():
     variances = np.array([0.05, 0.3, 0.01])
     h = selector(stations, 9)
     dense = cov @ h.T @ np.linalg.inv(h @ cov @ h.T + np.diag(variances))
-    np.testing.assert_allclose(gain_columns(cov, stations, variances), dense,
+    np.testing.assert_allclose(condition_gain(cov, stations, variances), dense,
                                rtol=0, atol=1e-12)
 
 
 def test_scalar_gain_half():
-    gain = gain_columns(np.array([[1.0]]), [0], 1.0)
+    gain = condition_gain(np.array([[1.0]]), [0], 1.0)
     assert gain[0, 0] == pytest.approx(0.5)
 
 
 def test_scalar_gain_point_eight():
-    gain = gain_columns(np.array([[0.08]]), [0], 0.02)
+    gain = condition_gain(np.array([[0.08]]), [0], 0.02)
     assert gain[0, 0] == pytest.approx(0.8)
 
 
 def test_gain_vanishes_for_uninformative_data():
     rng = np.random.default_rng(3)
     cov = random_spd(rng, 12)
-    gain = gain_columns(cov, [2, 7, 9], 1e9)
+    gain = condition_gain(cov, [2, 7, 9], 1e9)
     assert np.abs(gain).max() < 1e-6
 
 
@@ -274,7 +249,7 @@ def test_a_non_positive_definite_block_names_its_time_index():
     with pytest.raises(FilterError, match="not positive definite at time index 42"):
         condition(np.zeros(3), cov, [0, 1], np.zeros(2), 0.0, time_index=42)
     with pytest.raises(FilterError, match="not positive definite$"):
-        gain_columns(cov, [1, 0], 0.0)
+        condition_gain(cov, [1, 0], 0.0)
 
 
 @pytest.fixture
@@ -299,7 +274,7 @@ def test_a_non_finite_variance_fails_before_any_lapack_call(lapack_calls, bad):
         with pytest.raises(ValueError, match="infs or NaNs"):
             condition(np.zeros(20), cov, stations, np.zeros(4), variances)
         with pytest.raises(ValueError, match="infs or NaNs"):
-            gain_columns(cov, stations, variances)
+            condition_gain(cov, stations, variances)
     assert lapack_calls == []
     condition(np.zeros(20), cov, stations, np.zeros(4), 0.02)
     assert lapack_calls == ["dpotrf", "dtrtrs", "dtrtrs"]
@@ -319,6 +294,30 @@ def test_an_infinite_gathered_column_fails_before_any_lapack_call(lapack_calls):
     assert lapack_calls == ["dpotrf", "dtrtrs", "dtrtrs"]
 
 
+def test_a_nan_reading_fails_before_any_lapack_call(lapack_calls):
+    rng = np.random.default_rng(31)
+    n, k = 50, 13
+    cov = random_spd(rng, n)
+    stations = rng.choice(n, size=k, replace=False)
+    means, readings = rng.standard_normal((4, n)), rng.standard_normal((4, k))
+    readings[2, 5] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        condition(means, cov, stations, readings, 0.02)
+    assert lapack_calls == []
+
+
+def test_readings_that_are_not_one_per_station_fail_before_any_lapack_call(lapack_calls):
+    rng = np.random.default_rng(32)
+    cov = random_spd(rng, 6)
+    # One reading would broadcast over three stations; a stack must end in one per station.
+    for values in ([1.0], 1.0, np.zeros(4), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="not one per station"):
+            condition(np.zeros(6), cov, [0, 2, 4], values, 0.02)
+    with pytest.raises(ValueError, match="not one per station"):
+        condition(np.zeros((2, 6)), cov, [0, 2, 4], np.zeros((2, 1)), 0.02)
+    assert lapack_calls == []
+
+
 def whiten_reference(cov, stations, variances):
     """L and W = L^-1 P[S, :] through scipy's checked Cholesky and triangular solve."""
     restricted = cov[np.ix_(stations, stations)]
@@ -336,19 +335,20 @@ def conditioning_cases(draw):
     stations = rng.choice(n, size=k, replace=False)
     variances = (rng.uniform(0.01, 1.0, size=k) if draw(st.booleans())
                  else draw(st.sampled_from([0.02, 0.5])))
-    return cov, stations, variances
+    # three replicate means and their readings share the factorization
+    return cov, stations, variances, rng.standard_normal((3, n)), rng.standard_normal((3, k))
 
 
 @settings(max_examples=200, deadline=None)
 @given(conditioning_cases())
-def test_whiten_and_gain_columns_equal_the_scipy_reference_bit_for_bit(case):
-    cov, stations, variances = case
-    factor, weights = kalman._whiten(cov, stations, variances, None)
-    ref_factor, ref_weights = whiten_reference(cov, stations, variances)
-    assert np.array_equal(factor, ref_factor)
-    assert np.array_equal(weights, ref_weights)
-    ref_gain = scipy.linalg.solve_triangular(ref_factor, ref_weights, lower=True, trans="T").T
-    assert np.array_equal(gain_columns(cov, stations, variances), ref_gain)
+def test_condition_equals_the_scipy_reference_bit_for_bit(case):
+    cov, stations, variances, means, readings = case
+    factor, weights = whiten_reference(cov, stations, variances)
+    ref_means = [m + weights.T @ scipy.linalg.solve_triangular(factor, y - m[stations], lower=True)
+                 for m, y in zip(means, readings)]
+    post_means, post_cov = condition(means, cov, stations, readings, variances)
+    assert np.array_equal(post_means, ref_means)
+    assert np.array_equal(post_cov, cov - weights.T @ weights)
 
 
 def test_condition_into_the_prior_equals_the_fresh_posterior_bit_for_bit():
@@ -421,7 +421,7 @@ def test_gain_minimizes_joseph_trace():
     stations = [0, 4, 7]
     h = selector(stations, 10)
     obs_var = 0.07
-    gain = gain_columns(cov, stations, obs_var)
+    gain = condition_gain(cov, stations, obs_var)
     base = np.trace(joseph_covariance(cov, gain, h, obs_var))
     for _ in range(100):
         delta = rng.standard_normal(gain.shape)
@@ -436,7 +436,7 @@ def test_joseph_form_agrees_with_standard_update_at_the_optimum():
     stations = [1, 5]
     h = selector(stations, 9)
     obs_var = 0.3
-    gain = gain_columns(cov, stations, obs_var)
+    gain = condition_gain(cov, stations, obs_var)
     _, post_cov = condition(np.zeros(9), cov, stations, np.zeros(2), obs_var)
     np.testing.assert_allclose(joseph_covariance(cov, gain, h, obs_var), post_cov,
                                rtol=0, atol=1e-12)
