@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kalman
 from .core import GridSpec, StateEstimate
-from .kalman import condition
 from .obsnet import Observation, ObservationBatch, read_block
 from .truth import TruthConfig, mean_speed
 
@@ -190,10 +190,10 @@ def multi_analysis(forecast_est: StateEstimate, assembly: LikelihoodAssembly,
     """
     if len(assembly) == 0:
         return forecast_est
-    mean, cov = condition(forecast_est.mean, forecast_est.covariance,
-                          assembly.informed_stations, assembly.projected_values,
-                          assembly.projected_variances, time_index=forecast_est.time_index,
-                          out=out)
+    mean, cov = kalman.condition(forecast_est.mean, forecast_est.covariance,
+                                 assembly.informed_stations, assembly.projected_values,
+                                 assembly.projected_variances,
+                                 time_index=forecast_est.time_index, out=out)
     return StateEstimate(time_index=forecast_est.time_index, mean=mean, covariance=cov)
 
 

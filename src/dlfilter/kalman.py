@@ -7,7 +7,7 @@ likelihood filter calls it from ``dlf.multi_analysis``.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .core import GridSpec, StateEstimate
 from .model import ModelConfig, advect, apply_transition, lax_friedrichs_weights
@@ -85,9 +85,9 @@ def condition(mean: np.ndarray, cov: np.ndarray, stations, values, variances,
     The mean is a new array; the covariance is written to ``out`` (a new
     array if None), which may be ``cov`` itself: a caller done with the prior
     can condition into its buffer. ``time_index`` only labels a failed
-    factorization. Readings that are not one per station, and non-finite
-    gathered columns, variances or innovations, raise ``ValueError`` before
-    any LAPACK call.
+    factorization. Readings that are not one per station, stations outside
+    [0, N), and non-finite gathered columns, variances or innovations, raise
+    ``ValueError`` before any LAPACK call.
     """
     stations = np.asarray(stations, dtype=np.int64)
     values = np.asarray(values, dtype=float)
@@ -96,6 +96,9 @@ def condition(mean: np.ndarray, cov: np.ndarray, stations, values, variances,
     if values.shape[-1:] != (stations.size,):
         raise ValueError(f"readings of shape {values.shape} are not one per station "
                          f"of {stations.size}")
+    outside = stations[(stations < 0) | (stations >= cov.shape[0])]
+    if outside.size:
+        raise ValueError(f"stations {outside.tolist()} lie outside [0, {cov.shape[0]})")
     columns = np.take(cov, stations, axis=1, out=_workspace(0, (cov.shape[0], stations.size)))
     innovation = values - mean[..., stations]
     if not (np.isfinite(columns).all() and np.isfinite(variances).all()
@@ -105,15 +108,15 @@ def condition(mean: np.ndarray, cov: np.ndarray, stations, values, variances,
     restricted.flat[::stations.size + 1] += variances  # the diagonal
     # The block is exactly symmetric, so its Fortran-ordered transpose is the
     # same matrix and potrf factors it in place.
-    factor, info = scipy.linalg.lapack.dpotrf(restricted.T, lower=1, overwrite_a=1)
+    factor, info = dpotrf(restricted.T, lower=1, overwrite_a=1)
     if info > 0:
         where = "" if time_index is None else f" at time index {time_index}"
         raise FilterError(f"innovation covariance not positive definite{where}")
     # columns.T is Fortran-ordered, so W is solved in place in workspace slot 0.
     # A factor from potrf has a positive diagonal, so no trtrs can fail.
-    weights = scipy.linalg.lapack.dtrtrs(factor, columns.T, lower=1, overwrite_b=1)[0]
+    weights = dtrtrs(factor, columns.T, lower=1, overwrite_b=1)[0]
     for row in innovation.reshape(-1, stations.size):
-        row[:] = scipy.linalg.lapack.dtrtrs(factor, row, lower=1)[0]
+        row[:] = dtrtrs(factor, row, lower=1)[0]
     post_mean = mean + np.matmul(weights.T, innovation[..., None])[..., 0]
     product = np.matmul(weights.T, weights, out=_workspace(1, cov.shape))
     return post_mean, np.subtract(cov, product, out=out)

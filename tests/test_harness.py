@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
+import scipy
 from hypothesis import given, settings, strategies as st
 
 from dlfilter import dlf, harness, kalman, model
@@ -536,12 +536,10 @@ def test_a_cell_step_builds_one_transition_for_all_its_followers(monkeypatch):
     builds, updates, factorizations = [], [], []
     monkeypatch.setattr(model, "lax_friedrichs_matrix", lambda *args, build=(
         model.lax_friedrichs_matrix): builds.append(1) or build(*args))
-    # dlf imports condition by name, so both names are wrapped
-    counted = lambda *args, update=kalman.condition, **kw: updates.append(1) or update(*args, **kw)
-    for module in (kalman, dlf):
-        monkeypatch.setattr(module, "condition", counted)
-    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda *args, factor=(
-        scipy.linalg.lapack.dpotrf), **kw: factorizations.append(1) or factor(*args, **kw))
+    monkeypatch.setattr(kalman, "condition", lambda *args, update=kalman.condition, **kw: (
+        updates.append(1) or update(*args, **kw)))
+    monkeypatch.setattr(kalman, "dpotrf", lambda *args, factor=kalman.dpotrf, **kw: (
+        factorizations.append(1) or factor(*args, **kw)))
     cfg = small_cfg()
     per_step, per_cell = {}, {}
     for replicates in (1, 2, 5):

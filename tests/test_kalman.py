@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from dlfilter import kalman
 from dlfilter.checks import condition_gain, condition_on_stations
 from dlfilter.core import NoiseSource, StateEstimate, make_grid
 from dlfilter.kalman import FilterError, analysis, condition, forecast
@@ -256,10 +257,27 @@ def test_a_non_positive_definite_block_names_its_time_index():
 def lapack_calls(monkeypatch):
     calls = []
     for name in ("dpotrf", "dtrtrs"):
-        monkeypatch.setattr(scipy.linalg.lapack, name, lambda *args, name=name,
-                            call=getattr(scipy.linalg.lapack, name), **kwargs: (
+        monkeypatch.setattr(kalman, name, lambda *args, name=name,
+                            call=getattr(kalman, name), **kwargs: (
                                 calls.append(name) or call(*args, **kwargs)))
     return calls
+
+
+def test_condition_calls_scipys_own_lapack_routines():
+    assert kalman.dpotrf is scipy.linalg.lapack.dpotrf
+    assert kalman.dtrtrs is scipy.linalg.lapack.dtrtrs
+
+
+@pytest.mark.parametrize("station", [-1, 6])
+def test_a_station_off_the_grid_fails_before_any_lapack_call(lapack_calls, station):
+    cov = np.eye(6) + 0.1
+    with pytest.raises(ValueError, match=rf"stations \[{station}\] lie outside \[0, 6\)"):
+        condition(np.zeros(6), cov, [station], [1.0], 0.02)
+    with pytest.raises(ValueError, match="outside"):
+        condition(np.zeros(6), cov, [2, station, 0], np.zeros(3), 0.02)
+    assert lapack_calls == []
+    condition(np.zeros(6), cov, [5], [1.0], 0.02)
+    assert lapack_calls == ["dpotrf", "dtrtrs", "dtrtrs"]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -304,6 +322,9 @@ def test_a_nan_reading_fails_before_any_lapack_call(lapack_calls):
     with pytest.raises(ValueError, match="infs or NaNs"):
         condition(means, cov, stations, readings, 0.02)
     assert lapack_calls == []
+    readings[2, 5] = 0.0
+    condition(means, cov, stations, readings, 0.02)
+    assert lapack_calls == ["dpotrf", "dtrtrs"] + ["dtrtrs"] * 4
 
 
 def test_readings_that_are_not_one_per_station_fail_before_any_lapack_call(lapack_calls):
@@ -316,6 +337,8 @@ def test_readings_that_are_not_one_per_station_fail_before_any_lapack_call(lapac
     with pytest.raises(ValueError, match="not one per station"):
         condition(np.zeros((2, 6)), cov, [0, 2, 4], np.zeros((2, 1)), 0.02)
     assert lapack_calls == []
+    condition(np.zeros((2, 6)), cov, [0, 2, 4], np.zeros((2, 3)), 0.02)
+    assert lapack_calls == ["dpotrf", "dtrtrs", "dtrtrs", "dtrtrs"]
 
 
 def whiten_reference(cov, stations, variances):
