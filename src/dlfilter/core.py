@@ -104,10 +104,16 @@ class StateEstimate:
 class NoiseSource:
     """Deterministic Gaussian stream keyed by its seed.
 
-    Identical keys replay the identical draw sequence. ``child(tag)`` derives
-    an independent stream so that sub-components (forcing vs. wave-speed noise,
-    say) never share draws and toggling one leaves the others untouched. The
-    generator's key is (seed, 0, *tags): the 0 keeps every stream's draws.
+    Identical keys replay the identical draw sequence. ``child(tag)`` with a
+    nonzero tag derives a stream independent of its parent and its siblings,
+    so that sub-components (forcing vs. wave-speed noise, say) never share
+    draws and toggling one leaves the others untouched. ``child(0)`` does
+    not: it draws exactly its parent's stream, because numpy's
+    ``SeedSequence`` drops trailing zero words of its key. So the truth's
+    initial-pulse noise (``truth._STREAM_INIT = 0``) is the stream of
+    ``NoiseSource(seed_truth)`` itself, and changing that tag moves every
+    truth byte. The generator's key is (seed, 0, *tags): the 0 keeps every
+    stream's draws.
     """
 
     def __init__(self, seed: int, *, _lineage: tuple[int, ...] = ()):

@@ -8,7 +8,6 @@ plot-ready CSV files plus a JSON manifest that reproduces the run exactly.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -44,7 +43,6 @@ __all__ = [
     "sweep",
     "sweep_configs",
     "write_outputs",
-    "read_table",
     "load_config",
     "load_run",
     "config_to_flat",
@@ -75,6 +73,27 @@ _DRIFT_DEFAULTS = {
 # station loses every digit: a run crashed first at 5e15 * obs_var, so a config
 # stays this factor of obs_var below that.
 MAX_PRIOR_OVER_OBS_VAR = 1e12
+
+_SEEDS = ("seed_truth", "seed_model", "seed_obs")
+
+
+def _refuse_shared_seeds(cfg: ScenarioConfig, n_replicates: int) -> None:
+    """Raise ``ValueError`` if ``n_replicates`` replicates of ``cfg`` give one seed two roles.
+
+    The truth, model and reading streams are keyed by their seeds alone, and
+    replicate r adds r to every seed (see :func:`sweep_configs`). So the
+    streams of R replicates stay apart only if every two seeds differ by at
+    least R.
+    """
+    for a, b in itertools.combinations(_SEEDS, 2):
+        seed_a, seed_b = getattr(cfg, a), getattr(cfg, b)
+        if abs(seed_a - seed_b) >= n_replicates:
+            continue
+        if n_replicates == 1:
+            raise ValueError(f"{a} and {b} are both {seed_a}: one seed cannot serve two roles")
+        raise ValueError(f"{a} = {seed_a} and {b} = {seed_b} are closer than the {n_replicates} "
+                         f"replicates: replicate r adds r to every seed, so one seed would "
+                         f"serve both roles")
 
 
 @dataclass(frozen=True)
@@ -122,6 +141,7 @@ class ScenarioConfig:
                 raise ValueError(f"{f.name} must be finite, got {value}")
             if f.name.startswith("seed_") and value < 0:
                 raise ValueError(f"{f.name} must be nonnegative, got {value}")
+        _refuse_shared_seeds(self, 1)
         if self.n_points < 2:  # before the OU reference speed divides by it
             raise ValueError("n_points must be at least 2")
         if self.model_noise_var < 0:
@@ -250,7 +270,6 @@ def circular_distance(a, b, length: float):
     return np.minimum(d, length - d)
 
 
-_SEEDS = ("seed_truth", "seed_model", "seed_obs")
 _SAMPLING = ("space_freq", "time_freq")
 
 
@@ -438,11 +457,13 @@ def sweep_configs(base: ScenarioConfig, xi_list, tau_list,
     """The replicate configs of each (xi, tau) cell, in sweep order.
 
     Replicate r shifts every seed by r, so realizations differ while the
-    physical configuration stays fixed. Every config is built, and so
-    checked, before a sweep runs any of them.
+    physical configuration stays fixed; base seeds closer than
+    ``n_replicates`` would give one seed two roles, and raise. Every config
+    is built, and so checked, before a sweep runs any of them.
     """
     if n_replicates < 1:
         raise ValueError("need at least one replicate")
+    _refuse_shared_seeds(base, n_replicates)
     for name, values in (("xi_list", xi_list), ("tau_list", tau_list)):
         if len(values) == 0:
             raise ValueError(f"{name} is empty: a sweep needs at least one frequency in it")
@@ -595,14 +616,6 @@ def _write_table(path, header, rows) -> Path:
             handle.write(line % tuple(first))
             handle.writelines(line % tuple(row) for row in rows)
     return path
-
-
-def read_table(path) -> tuple[list[str], np.ndarray]:
-    """Read a table of numbers back: its header and a (rows, columns) float array."""
-    with open(Path(path), newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        return header, np.array([[float(v) for v in row] for row in reader])
 
 
 def write_outputs(result: RunResult, out_dir) -> list[Path]:

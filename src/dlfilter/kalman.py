@@ -133,10 +133,8 @@ def analysis(forecast_est: StateEstimate, obs_block: ObservationBatch | list[Obs
     block order; any other matrix raises. The update itself runs through
     :func:`condition`; a stacked forecast mean reads a stacked batch, one row
     per replicate. The posterior covariance goes to ``out`` as in
-    :func:`condition`. An empty block returns the forecast unchanged.
+    :func:`condition`, which refuses an empty block.
     """
-    if not obs_block:
-        return forecast_est
     n_state = forecast_est.covariance.shape[0]
     values, stations, variances = read_block(obs_block, forecast_est.time_index, n_state)
     if (variances != obs_var).any():

@@ -13,8 +13,7 @@ import dlfilter
 from dlfilter import cli
 from dlfilter.checks import run_all
 from dlfilter.cli import main
-from dlfilter.harness import (MAX_PRIOR_OVER_OBS_VAR, config_to_flat, default_config,
-                              read_table)
+from dlfilter.harness import MAX_PRIOR_OVER_OBS_VAR, config_to_flat, default_config
 from dlfilter.kalman import FilterError
 
 
@@ -42,8 +41,9 @@ def test_run_command_accepts_manifest(tmp_path, config_file):
     second = tmp_path / "second"
     main(["run", "--config", str(config_file), "--out", str(first)])
     main(["run", "--config", str(first / "manifest.json"), "--out", str(second)])
-    np.testing.assert_array_equal(read_table(first / "dlf_mean.csv")[1],
-                                  read_table(second / "dlf_mean.csv")[1])
+    np.testing.assert_array_equal(
+        np.loadtxt(first / "dlf_mean.csv", delimiter=",", skiprows=1, ndmin=2),
+        np.loadtxt(second / "dlf_mean.csv", delimiter=",", skiprows=1, ndmin=2))
 
 
 def test_run_command_pool_trace(tmp_path, config_file):
@@ -110,6 +110,9 @@ def config_texts(draw):
     # Prior variances from below obs_var to just under MAX_PRIOR_OVER_OBS_VAR * obs_var.
     prior_cap = obs_var * MAX_PRIOR_OVER_OBS_VAR / 10.0 ** draw(st.integers(0, 12))
     prior_share = st.floats(0.0, 0.4999)
+    # three distinct seeds: a config that gives one seed two roles is refused
+    seed_truth, seed_model, seed_obs = draw(
+        st.lists(st.integers(0, 10_000), min_size=3, max_size=3, unique=True))
     lines = {
         "drift": draw(st.sampled_from(["ou", "accelerating"])),
         "n_points": n_points,
@@ -123,9 +126,9 @@ def config_texts(draw):
         "space_freq": f"1/{draw(st.integers(1, n_points))}",
         "time_freq": f"1/{draw(st.integers(1, 4))}",
         "model_mode": draw(st.sampled_from(["stochastic", "mean"])),
-        "seed_truth": draw(st.integers(0, 10_000)),
-        "seed_model": draw(st.integers(0, 10_000)),
-        "seed_obs": draw(st.integers(0, 10_000)),
+        "seed_truth": seed_truth,
+        "seed_model": seed_model,
+        "seed_obs": seed_obs,
     }
     if draw(st.booleans()):
         lines["present_time"] = draw(st.integers(0, n_steps))
@@ -144,7 +147,7 @@ def test_every_config_that_loads_runs_and_writes_its_outputs(text, pool_trace):
         assert ("pool_trace.csv" in manifest["outputs"]) == pool_trace
         for name in manifest["outputs"]:
             assert (out_dir / name).stat().st_size > 0, name
-        _, metrics = read_table(out_dir / "metrics.csv")
+        metrics = np.loadtxt(out_dir / "metrics.csv", delimiter=",", skiprows=1, ndmin=2)
         assert metrics.shape[0] == int(manifest["config"]["n_steps"]) + 1
 
 
@@ -189,6 +192,11 @@ def test_bad_input_in_a_fresh_process(tmp_path):
     ("run", "drift = accelerating\nspeed_ramp = 0.6\nn_steps = 400\n", "CFL violated"),
     ("run", "drift = ou\nseed_truth = -1\n", "seed_truth must be nonnegative, got -1"),
     ("sweep --xi 1 --tau 1", "drift = ou\nseed_obs = -3\n", "seed_obs must be nonnegative, got -3"),
+    ("run", "drift = ou\nseed_model = 101\n",
+     "seed_truth and seed_model are both 101: one seed cannot serve two roles"),
+    # the default seeds 101/202/303 are 101 apart: replicate 101 would reuse one
+    ("sweep --xi 1 --tau 1 --replicates 102", "drift = ou\n",
+     "seed_truth = 101 and seed_model = 202 are closer than the 102 replicates"),
     ("run", "drift = ou\nspace_freq = 1/0\n", "space_freq = 1/0: zero denominator"),
     ("run", "drift = ou\nn_points = 0\n", "n_points must be at least 2"),
     ("run", "drift = ou\nn_steps = 2.5\n", "n_steps = 2.5: "),
@@ -214,6 +222,7 @@ def test_bad_input_in_a_fresh_process(tmp_path):
         "empty-xi-list", "nan-obs-var", "inf-model-noise-var", "nan-init-var",
         "nan-forcing-noise", "nan-relax-rate", "manifest-without-config", "cfl-at-start",
         "cfl-late-in-run", "negative-seed-truth", "negative-seed-obs-in-sweep",
+        "equal-seeds", "replicates-reuse-a-seed",
         "zero-denominator-in-file", "zero-ou-points", "fractional-n-steps",
         "fractional-seed", "zero-obs-var", "negative-model-noise-var", "zero-steps",
         "negative-speed-noise", "stride-past-the-grid", "zero-denominator-xi", "zero-denominator-tau", "unparsable-xi",

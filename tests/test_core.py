@@ -97,6 +97,15 @@ def test_noise_source_keys_are_seed_zero_then_tags(seed):
                           np.random.default_rng((seed, 0, 1, 2)).standard_normal(16))
 
 
+def test_child_zero_draws_its_parents_stream():
+    # SeedSequence drops trailing zero words of a key, so the truth's initial-pulse
+    # stream (tag 0) is NoiseSource(seed_truth)'s own: a new layout must change this.
+    for seed in (0, 7, 101):
+        parent = NoiseSource(seed).standard_normal(32)
+        assert np.array_equal(NoiseSource(seed).child(0).standard_normal(32), parent)
+        assert not np.array_equal(NoiseSource(seed).child(1).standard_normal(32), parent)
+
+
 def test_child_streams_are_independent_and_reproducible():
     parent = NoiseSource(9)
     a = parent.child(1).standard_normal(32)

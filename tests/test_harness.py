@@ -15,7 +15,7 @@ from dlfilter import dlf, harness, kalman, model
 from dlfilter.core import make_grid
 from dlfilter.harness import (ScenarioConfig, _write_table, center_of_mass, circular_distance,
                               config_from_flat, config_to_flat, default_config,
-                              load_config, load_run, read_table, run_cell, run_scenario,
+                              load_config, load_run, run_cell, run_scenario,
                               summarize_run, sweep, sweep_configs, write_outputs, write_sweep_csv)
 from dlfilter.obsnet import ObservationBatch
 from dlfilter.truth import Drift, mean_speed, pulse_profile
@@ -370,6 +370,29 @@ def test_sweep_rejects_an_empty_frequency_list(xi_list, tau_list, empty):
         sweep_configs(small_cfg(), xi_list, tau_list, 1)
 
 
+def test_a_sweep_refuses_replicates_that_would_give_one_seed_two_roles():
+    # the default seeds 101/202/303 are 101 apart, and replicate r adds r to each
+    cfg = small_cfg()
+    (cell,) = sweep_configs(cfg, [Fraction(1)], [Fraction(1)], 101)
+    seeds = [getattr(c, name) for c in cell for name in ("seed_truth", "seed_model", "seed_obs")]
+    assert len(set(seeds)) == len(seeds) == 303
+    with pytest.raises(ValueError, match=r"^seed_truth = 101 and seed_model = 202 are closer "
+                                         r"than the 102 replicates: .* serve both roles$"):
+        sweep_configs(cfg, [Fraction(1)], [Fraction(1)], 102)
+    with pytest.raises(ValueError, match=r"^seed_model = 202 and seed_obs = 205 are closer "
+                                         r"than the 4 replicates"):
+        sweep_configs(replace(cfg, seed_obs=205), [Fraction(1)], [Fraction(1)], 4)
+
+
+@pytest.mark.parametrize("first, second", [("seed_truth", "seed_model"),
+                                           ("seed_truth", "seed_obs"),
+                                           ("seed_model", "seed_obs")])
+def test_a_config_refuses_one_seed_in_two_roles(first, second):
+    with pytest.raises(ValueError, match=rf"^{first} and {second} are both 7: one seed cannot "
+                                         rf"serve two roles$"):
+        small_cfg(**{first: 7, second: 7})
+
+
 def test_sweep_replicates_use_distinct_truths():
     cfg = small_cfg()
     runs = []
@@ -460,6 +483,11 @@ def test_a_sweep_refuses_cells_that_differ_beyond_their_sampling_before_any_inpu
 @st.composite
 def small_cells(draw):
     """A cell of 2 or 3 replicates of a small random scenario that loads."""
+    n_replicates = draw(st.integers(2, 3))
+    # base seeds closer than the replicates would give one seed two roles
+    seed_truth, seed_model, seed_obs = draw(
+        st.lists(st.integers(0, 10_000), min_size=3, max_size=3).filter(
+            lambda seeds: min(np.diff(sorted(seeds))) >= n_replicates))
     n_points = draw(st.integers(2, 24))
     n_steps = draw(st.integers(1, 20))
     noise = st.floats(0.0, 1.0)
@@ -472,9 +500,8 @@ def small_cells(draw):
         time_freq=Fraction(1, draw(st.integers(1, 4))),
         model_mode=draw(st.sampled_from(["stochastic", "mean"])),
         present_time=draw(st.none() | st.integers(0, n_steps)),
-        seed_truth=draw(st.integers(0, 10_000)), seed_model=draw(st.integers(0, 10_000)),
-        seed_obs=draw(st.integers(0, 10_000)))
-    return sweep_configs(cfg, [cfg.space_freq], [cfg.time_freq], draw(st.integers(2, 3)))[0]
+        seed_truth=seed_truth, seed_model=seed_model, seed_obs=seed_obs)
+    return sweep_configs(cfg, [cfg.space_freq], [cfg.time_freq], n_replicates)[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -753,8 +780,8 @@ def test_table_format_golden_bytes(tmp_path):
     assert sweep_path.read_bytes() == GOLDEN_BYTES
     numeric_path = tmp_path / "numeric.csv"
     _write_table(numeric_path, ["n", "v"], ((n, v) for n, _, v in rows))
-    header, values = read_table(numeric_path)
-    assert header == ["n", "v"]
+    assert numeric_path.read_text().splitlines()[0] == "n,v"
+    values = np.loadtxt(numeric_path, delimiter=",", skiprows=1, ndmin=2)
     np.testing.assert_array_equal(values[:, 0], np.arange(len(rows)))
     assert _bits(values[:, 1]) == _bits(GOLDEN_FLOATS)
 
@@ -783,8 +810,8 @@ def test_written_trajectories_roundtrip_bit_exact(tmp_path):
                            ("model.csv", result.model_only),
                            ("kf_mean.csv", np.array([s.mean for s in result.kf])),
                            ("dlf_mean.csv", np.array([s.mean for s in result.dlf]))]:
-        header, values = read_table(tmp_path / name)
-        assert header == stations
+        assert (tmp_path / name).read_text().splitlines()[0] == ",".join(stations)
+        values = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1, ndmin=2)
         np.testing.assert_array_equal(values, expected)
 
 

@@ -395,11 +395,19 @@ def test_condition_into_the_prior_equals_the_fresh_posterior_bit_for_bit():
 
 # --- analysis ------------------------------------------------------------------
 
-def test_analysis_empty_block_returns_forecast():
+def test_an_empty_block_fails_before_any_lapack_call(lapack_calls):
+    # a run conditions only the steps that have readings
     est = StateEstimate(5, np.ones(4), np.eye(4))
-    assert analysis(est, [], np.eye(4), 0.02) is est
-    assert analysis(est, [], np.eye(4), 0.02, out=est.covariance) is est
+    empty_batch = ObservationBatch(time_index=np.zeros(0, dtype=np.int64),
+                                   station=np.zeros(0, dtype=np.int64), value=np.zeros(0),
+                                   variance=0.02)
+    for block in ([], empty_batch):
+        with pytest.raises(ValueError, match="at least one reading"):
+            analysis(est, block, np.zeros((0, 4)), 0.02, out=est.covariance)
+    assert lapack_calls == []
     assert np.array_equal(est.covariance, np.eye(4))
+    analysis(est, obs_block([1.0], [2], 5, 0.02), selector([2], 4), 0.02)
+    assert lapack_calls == ["dpotrf", "dtrtrs", "dtrtrs"]
 
 
 def test_analysis_scalar_case():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dlfilter.core import NoiseSource, make_grid
-from dlfilter.harness import default_config, read_table, run_scenario, write_outputs
+from dlfilter.harness import default_config, run_scenario, write_outputs
 from dlfilter.obsnet import (Observation, ObservationBatch, build_network, observation_matrix,
                              observations_by_step, read_block, sample_observations)
 from dlfilter.truth import Drift, TruthConfig, generate_truth
@@ -198,8 +198,9 @@ def test_observations_roundtrip_csv(tmp_path):
                          time_freq=Fraction(1, 10), seed_obs=31)
     result = run_scenario(cfg)
     write_outputs(result, tmp_path)
-    header, rows = read_table(tmp_path / "observations.csv")
-    assert header == ["time_index", "station", "value", "variance"]
+    path = tmp_path / "observations.csv"
+    assert path.read_text().splitlines()[0] == "time_index,station,value,variance"
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     assert [Observation(value=value, station=int(station), time_index=int(time_index),
                         variance=variance)
             for time_index, station, value, variance in rows.tolist()] == (
