@@ -17,7 +17,7 @@ from .core import NoiseSource, StateEstimate, make_grid
 from .dlf import propagate_observation, propagate_variance, rank_order
 from .kalman import analysis, condition
 from .model import ModelConfig, model_step
-from .obsnet import Observation
+from .obsnet import ObservationBatch, selector
 from .truth import Drift, TruthConfig, step_characteristic_exact
 
 __all__ = ["CheckResult", "run_all", "condition_on_stations", "condition_gain"]
@@ -77,11 +77,8 @@ def check_gaussian_conditioning(n_instances: int = 50, tol: float = 1e-10) -> Ch
         obs_var = float(rng.uniform(0.01, 1.0))
         values = rng.standard_normal(k)
 
-        h = np.zeros((k, n))
-        h[np.arange(k), stations] = 1.0
-        block = [Observation(value=float(v), station=int(s), time_index=1, variance=obs_var)
-                 for v, s in zip(values, stations)]
-        est = analysis(StateEstimate(1, mean, cov), block, h, obs_var)
+        block = ObservationBatch(np.ones(k, dtype=np.int64), stations, values, obs_var)
+        est = analysis(StateEstimate(1, mean, cov), block, selector(stations, n), obs_var)
         ref_mean, ref_cov = condition_on_stations(mean, cov, stations, values, obs_var)
         worst = max(worst,
                     float(np.abs(est.mean - ref_mean).max()),
@@ -118,8 +115,7 @@ def check_gain_optimality(n_perturbations: int = 100, eta: float = 1e-3,
     rng = np.random.default_rng(77)
     cov = _random_spd(rng, 12)
     stations = np.array([0, 3, 4, 9, 11])
-    h = np.zeros((5, 12))
-    h[np.arange(5), stations] = 1.0
+    h = selector(stations, 12)
     worst = 0.0
     for variances in (np.full(5, 0.25), np.array([0.02, 0.05, 0.11, 0.02, 0.3])):
         gain = condition_gain(cov, stations, variances)

@@ -78,9 +78,9 @@ class Pool:
             raise ValueError("origin_time cannot follow the pool's time_index")
 
     @classmethod
-    def empty(cls, time_index: int) -> "Pool":
+    def empty(cls, time_index: int, rows: tuple[int, ...] = ()) -> "Pool":
         none = np.empty(0, dtype=np.int64)
-        return cls(time_index, np.empty(0), np.empty(0), np.empty(0), none, none)
+        return cls(time_index, np.empty((*rows, 0)), np.empty(0), np.empty(0), none, none)
 
     def __len__(self):
         return self.position.shape[0]
@@ -107,11 +107,6 @@ class LikelihoodAssembly:
         if any(shape != (k,) for shape in (self.projected_values.shape[-1:],
                                            self.projected_variances.shape, self.selected.shape)):
             raise ValueError("assembly arrays must match the informed station count")
-
-    @classmethod
-    def empty(cls) -> "LikelihoodAssembly":
-        none = np.empty(0, dtype=np.int64)
-        return cls(none, np.empty(0), np.empty(0), none)
 
     def __len__(self):
         return len(self.informed_stations)
@@ -208,24 +203,23 @@ def dlf_step(forecast_est: StateEstimate, pool: Pool, fresh: ObservationBatch | 
     new pool, projected and rank-ordered into the assembly used by the
     multi-analysis; the assembly's ``selected`` indexes them. A stacked
     forecast mean takes a stacked pool and block, one row of values per
-    replicate. The posterior covariance goes to ``out`` (see
-    :func:`multi_analysis`).
+    replicate; a pool or block without the mean's rows raises. The
+    posterior covariance goes to ``out`` (see :func:`multi_analysis`).
     """
     now = forecast_est.time_index
     if pool.time_index + 1 != now:
         raise ValueError(f"pool at step {pool.time_index}, expected {now - 1}")
-    values, stations, variances = read_block(fresh, now, grid.n_points)
+    if pool.value.shape[:-1] != forecast_est.mean.shape[:-1]:
+        raise ValueError(f"pool values of shape {pool.value.shape} do not have the rows of a "
+                         f"forecast mean of shape {forecast_est.mean.shape}")
+    values, stations, variances = read_block(fresh, now, forecast_est.mean.shape)
     position = np.concatenate([propagate_observation(pool.position, pool.time_index, grid,
                                                      truth_cfg), stations * grid.dx])
     variance = np.concatenate([propagate_variance(pool.variance, truth_cfg.forcing_noise,
                                                   grid.dt), variances])
     kept = viability_filter(position, variance, forecast_est.covariance, grid)
     kept = kept[-POOL_CAP_FACTOR * grid.n_points:]
-    # An empty pool or block has no replicate rows: it joins as rows of no data.
-    rows = forecast_est.mean.shape[:-1]
-    value = np.concatenate([v if v.size else np.empty((*rows, 0)) for v in (pool.value, values)],
-                           axis=-1)
-    joined = (value, position, variance,
+    joined = (np.concatenate([pool.value, values], axis=-1), position, variance,
               np.concatenate([pool.origin_time, np.full(stations.size, now)]),
               np.concatenate([pool.origin_station, stations]))
     survivors = Pool(now, *(array[..., kept] for array in joined))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import statistics
 import typing
 from dataclasses import dataclass, fields, replace
@@ -23,7 +24,7 @@ import scipy
 
 from . import __version__
 from .core import GridSpec, NoiseSource, StateEstimate, make_grid
-from .dlf import POOL_CAP_FACTOR, DlfStepResult, LikelihoodAssembly, Pool, dlf_step
+from .dlf import POOL_CAP_FACTOR, DlfStepResult, Pool, dlf_step, rank_order
 from .kalman import analysis, forecast
 from .model import ModelConfig, lax_friedrichs_weights, model_step
 from .obsnet import (ObservationBatch, build_network, observation_matrix, observations_by_step,
@@ -75,6 +76,7 @@ _DRIFT_DEFAULTS = {
 MAX_PRIOR_OVER_OBS_VAR = 1e12
 
 _SEEDS = ("seed_truth", "seed_model", "seed_obs")
+_INTEGERS = ("n_points", "n_steps", "present_time", *_SEEDS)
 
 
 def _refuse_shared_seeds(cfg: ScenarioConfig, n_replicates: int) -> None:
@@ -137,6 +139,9 @@ class ScenarioConfig:
         object.__setattr__(self, "time_freq", Fraction(self.time_freq))
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.name in _INTEGERS and value is not None and (
+                    isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
             if f.name.startswith("seed_") and value < 0:
@@ -295,8 +300,9 @@ def _steps(cfg: ScenarioConfig, readings: ObservationBatch,
     ``_run_speeds``), drive the one model forecast of both filters, which
     differ only in what they assimilate. Yields ``(kf_estimate,
     dlf_step_result)`` for steps 0 to n_steps; step 0 is the initial state,
-    with an empty pool and assembly. Each estimate's mean has one row per
-    replicate of a stack. The same inputs replay the same steps bit for bit.
+    with an empty pool and assembly. A step's readings are one batch, empty
+    on a step without any. Each estimate's mean has one row per replicate
+    of a stack. The same inputs replay the same steps bit for bit.
 
     The scenario is linear and Gaussian, so neither filter's gains read the
     data (Anderson & Moore, *Optimal Filtering*, 1979, §3.1): the
@@ -318,19 +324,23 @@ def _steps(cfg: ScenarioConfig, readings: ObservationBatch,
     fresh_by_step = observations_by_step(readings)
     obs_mat = observation_matrix(cfg.network, grid)
     model_cfg = ModelConfig(noise_var=cfg.model_noise_var)
-    start = np.tile(pulse_profile(grid, cfg.pulse_center), (*readings.value.shape[:-1], 1))
+    no_readings = ObservationBatch(readings.time_index[:0], readings.station[:0],
+                                   readings.value[..., :0], readings.variance)
+    rows = readings.value.shape[:-1]
+    pool = Pool.empty(0, rows)
+    start = np.tile(pulse_profile(grid, cfg.pulse_center), (*rows, 1))
     kf_est = StateEstimate(time_index=0, mean=start,
                            covariance=cfg.init_var * np.eye(grid.n_points))
     # The filters own their buffers from here on: the DLF starts on a copy.
-    dlf_result = DlfStepResult(replace(kf_est, covariance=kf_est.covariance.copy()),
-                               Pool.empty(time_index=0), LikelihoodAssembly.empty())
+    dlf_result = DlfStepResult(replace(kf_est, covariance=kf_est.covariance.copy()), pool,
+                               rank_order(pool.origin_station, pool.value, pool.variance))
     yield kf_est, dlf_result
 
     for step, step_speeds in enumerate(speeds, start=1):
         kf_est = forecast(kf_est, grid, model_cfg, step_speeds, out=kf_est.covariance)
         dlf_prior = forecast(dlf_result.estimate, grid, model_cfg, step_speeds,
                              out=dlf_result.estimate.covariance)
-        fresh = fresh_by_step.get(step, [])
+        fresh = fresh_by_step.get(step, no_readings)
         if fresh:
             kf_est = analysis(kf_est, fresh, obs_mat, cfg.obs_var, out=kf_est.covariance)
         dlf_result = dlf_step(dlf_prior, dlf_result.pool, fresh, grid, cfg.truth_config,

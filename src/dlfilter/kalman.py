@@ -11,7 +11,7 @@ from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .core import GridSpec, StateEstimate
 from .model import ModelConfig, advect, apply_transition, lax_friedrichs_weights
-from .obsnet import Observation, ObservationBatch, read_block
+from .obsnet import Observation, ObservationBatch, read_block, selector
 
 __all__ = ["FilterError", "forecast", "analysis", "condition"]
 
@@ -135,13 +135,11 @@ def analysis(forecast_est: StateEstimate, obs_block: ObservationBatch | list[Obs
     per replicate. The posterior covariance goes to ``out`` as in
     :func:`condition`, which refuses an empty block.
     """
-    n_state = forecast_est.covariance.shape[0]
-    values, stations, variances = read_block(obs_block, forecast_est.time_index, n_state)
+    values, stations, variances = read_block(obs_block, forecast_est.time_index,
+                                             forecast_est.mean.shape)
     if (variances != obs_var).any():
         raise ValueError(f"observation variance differs from obs_var = {obs_var}")
-    selector = np.zeros((stations.size, n_state))
-    selector[np.arange(stations.size), stations] = 1.0
-    if not np.array_equal(obs_matrix, selector):
+    if not np.array_equal(obs_matrix, selector(stations, forecast_est.mean.shape[-1])):
         raise ValueError("observation matrix is not the selector of the block's stations")
 
     mean, cov = condition(forecast_est.mean, forecast_est.covariance, stations, values,

@@ -21,6 +21,7 @@ __all__ = [
     "observation_matrix",
     "observations_by_step",
     "read_block",
+    "selector",
 ]
 
 
@@ -42,10 +43,6 @@ class ObsNetwork:
             raise ValueError("station_indices must be strictly increasing")
         if self.noise_var <= 0:
             raise ValueError("noise_var must be positive")
-
-    @property
-    def n_stations(self) -> int:
-        return len(self.station_indices)
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,11 +134,16 @@ def sample_observations(truth: TruthField, net: ObsNetwork, src: NoiseSource,
                             variance=net.noise_var)
 
 
-def observation_matrix(net: ObsNetwork, grid: GridSpec) -> np.ndarray:
-    """Selector matrix H with one row per station: (H v)_k = v[station_k]."""
-    h = np.zeros((net.n_stations, grid.n_points))
-    h[np.arange(net.n_stations), list(net.station_indices)] = 1.0
+def selector(stations, n_points: int) -> np.ndarray:
+    """The 0/1 matrix H with one row per station: (H v)_k = v[stations[k]]."""
+    h = np.zeros((len(stations), n_points))
+    h[np.arange(len(stations)), stations] = 1.0
     return h
+
+
+def observation_matrix(net: ObsNetwork, grid: GridSpec) -> np.ndarray:
+    """The network's selector H, one row per station."""
+    return selector(net.station_indices, grid.n_points)
 
 
 def observations_by_step(observations: ObservationBatch) -> dict[int, ObservationBatch]:
@@ -157,11 +159,11 @@ def observations_by_step(observations: ObservationBatch) -> dict[int, Observatio
 
 
 def read_block(block: ObservationBatch | list[Observation], time_index: int,
-               n_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The values, stations and variances of a block of readings, a batch or a
     list, each of which must be taken at step ``time_index`` and at a station
-    of a grid of ``n_points``. A stacked batch gives one row of values per
-    replicate."""
+    of the grid of a forecast mean of ``shape``. The values must have that
+    mean's rows: a stacked batch gives one row per replicate."""
     if isinstance(block, ObservationBatch):
         times, stations, values = block.time_index, block.station, block.value
         variances = np.full(stations.size, block.variance)
@@ -173,6 +175,9 @@ def read_block(block: ObservationBatch | list[Observation], time_index: int,
     if (times != time_index).any():
         raise ValueError(f"observations at steps {sorted(set(times.tolist()))}, "
                          f"expected step {time_index}")
-    if ((stations < 0) | (stations >= n_points)).any():
+    if ((stations < 0) | (stations >= shape[-1])).any():
         raise ValueError("observation station outside the grid")
+    if values.shape[:-1] != shape[:-1]:
+        raise ValueError(f"readings of shape {values.shape} do not have the rows of a "
+                         f"forecast mean of shape {shape}")
     return values, stations, variances

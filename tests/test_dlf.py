@@ -11,7 +11,7 @@ from dlfilter.dlf import (POOL_CAP_FACTOR, Pool, dlf_step, multi_analysis, proje
                           viability_filter)
 from dlfilter.kalman import analysis, forecast
 from dlfilter.model import ModelConfig
-from dlfilter.obsnet import Observation, ObservationBatch, build_network
+from dlfilter.obsnet import Observation, ObservationBatch, build_network, selector
 from dlfilter.truth import Drift, TruthConfig, mean_speed
 
 
@@ -377,9 +377,8 @@ def test_multi_analysis_dense_fresh_equals_kalman_analysis():
     obs_var = 0.02
     assembly = full_assembly(values, np.full(n, obs_var))
     est_dlf = multi_analysis(StateEstimate(1, mean, cov), assembly)
-    block = [Observation(value=float(v), station=s, time_index=1, variance=obs_var)
-             for s, v in enumerate(values)]
-    est_kf = analysis(StateEstimate(1, mean, cov), block, np.eye(n), obs_var)
+    block = ObservationBatch(np.ones(n, dtype=np.int64), np.arange(n), values, obs_var)
+    est_kf = analysis(StateEstimate(1, mean, cov), block, selector(np.arange(n), n), obs_var)
     np.testing.assert_allclose(est_dlf.mean, est_kf.mean, rtol=0, atol=1e-10)
     np.testing.assert_allclose(est_dlf.covariance, est_kf.covariance, rtol=0, atol=1e-10)
 
@@ -481,6 +480,27 @@ def test_dlf_step_into_the_prior_equals_the_fresh_posterior_bit_for_bit():
     assert result.estimate.covariance is forecast_est.covariance
     assert np.array_equal(result.estimate.covariance, expected.covariance)
     assert np.array_equal(result.estimate.mean, expected.mean)
+
+
+def test_dlf_step_refuses_a_pool_or_block_without_the_forecasts_rows():
+    rng = np.random.default_rng(6)
+    grid, cfg = grid_for(), flow_cfg()
+    stations = np.arange(0, 50, 5)
+    forecast_est = StateEstimate(7, rng.standard_normal((3, 50)), random_spd(rng, 50))
+    stacked_pool = Pool(6, rng.standard_normal((3, 2)), [0.13, 0.71], [0.01] * 2, [5, 6], [1, 2])
+    one_run_pool = Pool(6, rng.standard_normal(2), [0.13, 0.71], [0.01] * 2, [5, 6], [1, 2])
+    one_run = ObservationBatch(np.full(10, 7), stations, rng.standard_normal(10), 0.02)
+    stacked = ObservationBatch(np.full(10, 7), stations, rng.standard_normal((3, 10)), 0.02)
+    for pool, message in ((one_run_pool, r"pool values of shape \(2,\)"),
+                          (Pool.empty(6), r"pool values of shape \(0,\)")):
+        with pytest.raises(ValueError, match=message + r" do not have the rows of a forecast "
+                                                       r"mean of shape \(3, 50\)"):
+            dlf_step(forecast_est, pool, stacked, grid, cfg)
+    with pytest.raises(ValueError, match=r"readings of shape \(10,\) do not have the rows of "
+                                         r"a forecast mean of shape \(3, 50\)"):
+        dlf_step(forecast_est, stacked_pool, one_run, grid, cfg)
+    result = dlf_step(forecast_est, stacked_pool, stacked, grid, cfg)
+    assert result.pool.value.shape == (3, len(result.pool))
 
 
 def test_dlf_step_fresh_beats_propagated_at_same_station():

@@ -11,7 +11,7 @@ import pytest
 import scipy
 from hypothesis import given, settings, strategies as st
 
-from dlfilter import dlf, harness, kalman, model
+from dlfilter import dlf, harness, kalman, model, obsnet
 from dlfilter.core import make_grid
 from dlfilter.harness import (ScenarioConfig, _write_table, center_of_mass, circular_distance,
                               config_from_flat, config_to_flat, default_config,
@@ -595,9 +595,8 @@ def test_a_stacked_batch_steps_each_replicate_as_its_own_run(time_freq):
             zip(harness._steps(cfg, stacked, harness._run_speeds(cfg)), *runs)):
         pool, assembly = dlf_result.pool, dlf_result.assembly
         assert dlf_result.estimate.mean.shape == kf_est.mean.shape == (3, cfg.n_points)
-        if step > 0:  # the initial pool is empty and has no rows
-            assert pool.value.shape == (3, len(pool))
-            assert assembly.projected_values.shape == (3, len(assembly))
+        assert pool.value.shape == (3, len(pool))
+        assert assembly.projected_values.shape == (3, len(assembly))
         for r, (own_kf, own_dlf) in enumerate(own):
             for stacked_est, own_est in ((kf_est, own_kf), (dlf_result.estimate, own_dlf.estimate)):
                 assert np.array_equal(stacked_est.mean[r], own_est.mean)
@@ -605,12 +604,30 @@ def test_a_stacked_batch_steps_each_replicate_as_its_own_run(time_freq):
             for name in ("position", "variance", "origin_time", "origin_station"):
                 assert np.array_equal(getattr(pool, name), getattr(own_dlf.pool, name)), name
             assert np.array_equal(assembly.selected, own_dlf.assembly.selected)
-            if step > 0:
-                assert np.array_equal(pool.value[r], own_dlf.pool.value)
-                assert np.array_equal(assembly.projected_values[r],
-                                      own_dlf.assembly.projected_values)
+            assert np.array_equal(pool.value[r], own_dlf.pool.value)
+            assert np.array_equal(assembly.projected_values[r], own_dlf.assembly.projected_values)
     assert step == cfg.n_steps
     assert (1 in fresh_steps) == (time_freq == 1)
+
+
+def test_run_replay_and_sweep_hand_read_block_only_batches(monkeypatch):
+    # a step without readings hands the DLF an empty slice of the run's batch
+    blocks = []
+
+    def recording(block, *args):
+        blocks.append(block)
+        return obsnet.read_block(block, *args)
+
+    for module in (dlf, kalman):
+        monkeypatch.setattr(module, "read_block", recording)
+    cfg = small_cfg(time_freq=Fraction(1, 5))
+    result = run_scenario(cfg)
+    assert len(result.kf) == len(result.dlf) == cfg.n_steps + 1
+    sweep(sweep_configs(cfg, [cfg.space_freq], [Fraction(1), Fraction(1, 5)], 2))
+    # 25 DLF steps per run, with KF analyses at 5 of them at tau = 1/5 and at all 25 at tau = 1
+    assert len(blocks) == 2 * (25 + 5) + (25 + 25) + (25 + 5)
+    assert all(isinstance(block, ObservationBatch) for block in blocks)
+    assert sum(len(block) == 0 for block in blocks) == 3 * 20
 
 
 # The benchmark's grid-n400 cell, shortened: about 100 stations are informed per step.
@@ -746,6 +763,18 @@ def test_config_validates_present_time():
         ScenarioConfig(drift=Drift.OU, n_steps=10, present_time=11)
     with pytest.raises(ValueError, match="present_time"):
         ScenarioConfig(drift=Drift.OU, n_steps=10, present_time=-5)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_points", 50.0), ("n_steps", 20.0), ("n_steps", True), ("present_time", 5.0),
+    ("seed_truth", 101.0), ("seed_model", False), ("seed_obs", 303.5), ("seed_obs", "303"),
+])
+def test_config_refuses_a_non_integer_count_or_seed(name, value):
+    # 50.0 points would fail mid-run, and seed_obs = 303.5 would run as seed 303 and write
+    # a manifest that cannot be rerun
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        ScenarioConfig(drift=Drift.OU, **{name: value})
+    assert getattr(ScenarioConfig(drift=Drift.OU, **{name: np.int64(2)}), name) == 2
 
 
 # --- outputs -------------------------------------------------------------------------

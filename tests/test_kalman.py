@@ -8,18 +8,12 @@ from dlfilter.checks import condition_gain, condition_on_stations
 from dlfilter.core import NoiseSource, StateEstimate, make_grid
 from dlfilter.kalman import FilterError, analysis, condition, forecast
 from dlfilter.model import ModelConfig, model_step
-from dlfilter.obsnet import Observation, ObservationBatch
+from dlfilter.obsnet import Observation, ObservationBatch, selector
 
 
 def random_spd(rng, n, scale=1.0):
     a = rng.standard_normal((n, n))
     return scale * (a @ a.T) + 0.1 * np.eye(n)
-
-
-def selector(stations, n):
-    h = np.zeros((len(stations), n))
-    h[np.arange(len(stations)), stations] = 1.0
-    return h
 
 
 def obs_block(values, stations, time_index, variance):
@@ -412,7 +406,7 @@ def test_an_empty_block_fails_before_any_lapack_call(lapack_calls):
 
 def test_analysis_scalar_case():
     est = StateEstimate(1, np.array([0.0]), np.array([[0.08]]))
-    out = analysis(est, obs_block([1.0], [0], 1, 0.02), np.array([[1.0]]), 0.02)
+    out = analysis(est, obs_block([1.0], [0], 1, 0.02), selector([0], 1), 0.02)
     assert out.mean[0] == pytest.approx(0.8)
     assert out.covariance[0, 0] == pytest.approx(0.016)
 
@@ -511,6 +505,20 @@ def test_analysis_rejects_a_reading_at_another_variance():
         analysis(est, block, selector([0], 4), 0.02)
     post = analysis(est, block, selector([0], 4), 0.05)
     assert (post.mean[0], post.covariance[0, 0]) == (pytest.approx(2 / 3), pytest.approx(1 / 30))
+
+
+def test_analysis_refuses_one_runs_readings_against_a_stacked_forecast():
+    # read as they are, the one run's readings would condition all three replicates
+    rng = np.random.default_rng(9)
+    stations = np.arange(0, 50, 5)
+    est = StateEstimate(7, rng.standard_normal((3, 50)), random_spd(rng, 50))
+    block = ObservationBatch(np.full(10, 7), stations, rng.standard_normal(10), 0.02)
+    with pytest.raises(ValueError, match=r"readings of shape \(10,\) do not have the rows of "
+                                         r"a forecast mean of shape \(3, 50\)"):
+        analysis(est, block, selector(stations, 50), 0.02)
+    stacked = ObservationBatch(np.full(10, 7), stations, rng.standard_normal((2, 10)), 0.02)
+    with pytest.raises(ValueError, match=r"shape \(2, 10\) .* shape \(3, 50\)"):
+        analysis(est, stacked, selector(stations, 50), 0.02)
 
 
 def test_analysis_covariance_stays_symmetric():
